@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcf_core::bitkern::Backend;
 use lcf_core::matching::Matching;
-use lcf_core::registry::SchedulerKind;
+use lcf_core::registry::{BackendChoice, SchedulerKind};
 use lcf_core::request::RequestMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,14 +31,16 @@ fn bench_scaling(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         for kind in kinds {
             let (mut sched, choice) = kind.build_with_backend(n, 4, 5, Backend::default());
-            // Readers take this group as kernel scaling data, so a silent
-            // scalar fallback would poison the committed numbers.
-            assert!(
-                !choice.is_fallback(),
-                "{} at n = {n} fell back to scalar ({choice}); \
-                 schedule_vs_n must measure the requested kernel",
-                kind.name()
-            );
+            // Readers take this group as kernel scaling data, so every
+            // scheduler with a word-parallel kernel must run it.
+            if kind.has_kernel() {
+                assert_eq!(
+                    choice,
+                    BackendChoice::AsRequested(Backend::Bitset),
+                    "{} at n = {n}: schedule_vs_n must measure the bitset kernel",
+                    kind.name()
+                );
+            }
             let mut out = Matching::new(n);
             let mut idx = 0usize;
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &pool, |b, pool| {

@@ -3,14 +3,12 @@
 //! Two groups:
 //!
 //! * `sim_slots` — model comparison at the paper's default configuration
-//!   (n = 16, load 0.8), covering the Fig. 12 architectures. This group is
-//!   kept identical to the pinned `.bench-baseline` checkout so criterion
-//!   baseline-vs-current comparisons of `sim_slots` stay apples-to-apples.
+//!   (n = 16, load 0.8), covering the Fig. 12 architectures.
 //! * `sim_scaling` — the hot-loop scaling matrix: slots/sec for
 //!   n ∈ {16, 32, 64, 128} × {lcf_central_rr, islip} × loads {0.5, 0.95}.
-//!   New in this tree (no baseline counterpart); the committed throughput record
-//!   that CI guards against is the scheduler-kernel baseline
-//!   `results/BENCH_schedulers.json` (see the `bench_guard` binary).
+//!   The committed throughput record that CI guards against is the
+//!   scheduler-kernel baseline `results/BENCH_schedulers.json` (see the
+//!   `bench_guard` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcf_core::registry::SchedulerKind;

@@ -1,11 +1,11 @@
-//! `bench_guard` — asserts that a telemetry-off build of the central LCF
-//! scheduler is still in the same performance class as the committed
-//! baseline (`results/BENCH_schedulers.json`), and that the heavy-traffic
-//! fast path keeps its committed speedup over the legacy paths.
+//! `bench_guard` — asserts that the untraced central LCF scheduler is still
+//! in the same performance class as the committed baseline
+//! (`results/BENCH_schedulers.json`), and that the heavy-traffic fast path
+//! keeps its committed speedup over the legacy paths.
 //!
-//! The telemetry layer is feature-gated and must compile to no-ops when the
-//! `telemetry` feature is off. A perf regression here would mean the gating
-//! leaked work (or allocation) into the hot scheduling path. This guard is
+//! Tracing is off unless asked for. A perf regression here would mean the
+//! always-compiled instrumentation leaked work (or allocation) into the hot
+//! scheduling path. This guard is
 //! deliberately coarse — CI machines are noisy, so the tolerance is a
 //! multiple of the baseline, not a percentage — but it catches the failure
 //! mode that matters: an accidental order-of-magnitude slowdown.

@@ -64,6 +64,19 @@ impl Args {
             .ok_or_else(|| format!("missing required --{key}"))
     }
 
+    /// Fails on the first option that is in none of the `known` lists,
+    /// naming it and the subcommand, so a mistyped option (`--shard` for
+    /// `--shards`) is an error instead of a silent default.
+    pub fn reject_unknown(&self, command: &str, known: &[&[&str]]) -> Result<(), String> {
+        let is_known = |key: &str| known.iter().any(|set| set.contains(&key));
+        match self.values.keys().chain(&self.flags).find(|k| !is_known(k)) {
+            Some(key) => Err(format!(
+                "unknown option `--{key}` for `lcf {command}`; try `lcf help`"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// A comma-separated list of parsed values.
     pub fn get_list<T: std::str::FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, String> {
         match self.get(key) {
@@ -150,6 +163,23 @@ mod tests {
             Some(vec![0.1, 0.5, 0.9])
         );
         assert!(a.require("nope").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = Args::parse(&argv(&["--load", "0.5", "--fast", "--lod", "0.9"])).unwrap();
+        assert!(a
+            .reject_unknown("simulate", &[&["load", "fast", "lod"]])
+            .is_ok());
+        let err = a
+            .reject_unknown("simulate", &[&["load"], &["fast"]])
+            .unwrap_err();
+        assert!(
+            err.contains("`--lod`") && err.contains("lcf simulate"),
+            "{err}"
+        );
+        let flag = Args::parse(&argv(&["--quiet"])).unwrap();
+        assert!(flag.reject_unknown("hw", &[&["ports"]]).is_err());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn help() -> String {
      \x20 averages R independent seeds per point and reports 95% CIs.\n\
      \x20 trace      replay one seed and pretty-print scheduler decisions\n\
      \x20            [--scheduler lcf_central_rr] [--ports 4] [--load 0.85]\n\
-     \x20            [--slots 12] [--seed N] (needs the `telemetry` feature)\n\
+     \x20            [--slots 12] [--seed N]\n\
      \x20 serve      long-lived sharded engine: windowed sessions, merged\n\
      \x20            telemetry snapshots, online reconfiguration, drain\n\
      \x20            [--shards 4] [--window-slots 5000] [--snapshots 8]\n\
@@ -64,20 +64,35 @@ pub fn help() -> String {
         .to_string()
 }
 
+/// The options [`sim_config`] reads, shared by `simulate`, `sweep` and
+/// `serve`.
+const SIM_OPTS: &[&str] = &[
+    "ports",
+    "load",
+    "pattern",
+    "bursty",
+    "fast",
+    "iterations",
+    "islip-iterations",
+    "warmup",
+    "slots",
+    "seed",
+    "pq",
+    "voq",
+    "outbuf",
+    "backend",
+];
+
+/// The telemetry export options of `simulate` and `sweep`.
+const TELEMETRY_OPTS: &[&str] = &["trace", "metrics", "trace-cap"];
+
 /// True if the invocation asked for telemetry output.
 fn wants_telemetry(args: &Args) -> bool {
     args.get("trace").is_some() || args.get("metrics").is_some()
 }
 
-/// Error for telemetry surfaces in a build without the feature.
-#[cfg(not(feature = "telemetry"))]
-const NEEDS_TELEMETRY: &str = "telemetry is not compiled into this binary; \
-    rebuild with `--features telemetry` \
-    (e.g. `cargo run -p lcf-cli --features telemetry --bin lcf -- ...`)";
-
 /// Writes `--trace` / `--metrics` outputs and appends a summary of what
 /// went where to `out`.
-#[cfg(feature = "telemetry")]
 fn export_telemetry(
     args: &Args,
     trace: &lcf_telemetry::TraceBuffer,
@@ -196,6 +211,10 @@ fn report_block(r: &SimReport) -> String {
 
 /// `lcf schedule`.
 pub fn schedule(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "schedule",
+        &[&["n", "requests", "scheduler", "iterations", "seed", "cycles"]],
+    )?;
     let n: usize = args.get_parsed("n", 4usize)?;
     let spec = args.require("requests")?;
     let pairs = parse_requests(n, spec)?;
@@ -228,6 +247,7 @@ pub fn schedule(args: &Args) -> Result<String, String> {
 
 /// `lcf simulate`.
 pub fn simulate(args: &Args) -> Result<String, String> {
+    args.reject_unknown("simulate", &[&["scheduler"], SIM_OPTS, TELEMETRY_OPTS])?;
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     // The weighted schedulers live outside the Fig. 12 registry; they get
     // a dedicated simulation loop with identical semantics. `mwm` is both
@@ -240,17 +260,12 @@ pub fn simulate(args: &Args) -> Result<String, String> {
     let model =
         ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
     let cfg = sim_config(args, model)?;
-    #[cfg(feature = "telemetry")]
     if wants_telemetry(args) {
         let cap = args.get_parsed("trace-cap", 0usize)?;
         let (report, telemetry) = lcf_sim::runner::run_sim_traced(&cfg, cap);
         let mut out = report_block(&report);
         export_telemetry(args, &telemetry.trace, &telemetry.metrics, &mut out)?;
         return Ok(out);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if wants_telemetry(args) {
-        return Err(NEEDS_TELEMETRY.into());
     }
     let report = run_sim(&cfg);
     Ok(report_block(&report))
@@ -260,6 +275,21 @@ pub fn simulate(args: &Args) -> Result<String, String> {
 /// measurement window (merged across shards, byte-deterministic), the
 /// final drain line, then a human summary.
 pub fn serve(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "serve",
+        &[
+            &[
+                "scheduler",
+                "control",
+                "shards",
+                "window-slots",
+                "snapshots",
+                "drain-deadline",
+                "occupancy-range",
+            ],
+            SIM_OPTS,
+        ],
+    )?;
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     let model =
         ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
@@ -312,6 +342,14 @@ fn simulate_weighted(args: &Args, kind: WeightedKind) -> Result<String, String> 
 
 /// `lcf sweep`.
 pub fn sweep(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "sweep",
+        &[
+            &["loads", "schedulers", "replications"],
+            SIM_OPTS,
+            TELEMETRY_OPTS,
+        ],
+    )?;
     let loads = args
         .get_list::<f64>("loads")?
         .unwrap_or_else(|| vec![0.5, 0.8, 0.9, 0.95]);
@@ -348,13 +386,8 @@ pub fn sweep(args: &Args) -> Result<String, String> {
             .collect();
         return Ok(replicated_table(&models, &loads, &reps, replications));
     }
-    #[cfg(feature = "telemetry")]
     if wants_telemetry(args) {
         return sweep_traced(args, &models, &loads, &configs);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    if wants_telemetry(args) {
-        return Err(NEEDS_TELEMETRY.into());
     }
     let reports = lcf_sim::runner::sweep(&configs);
     Ok(sweep_table(&models, &loads, &reports))
@@ -415,7 +448,6 @@ fn sweep_table(models: &[ModelKind], loads: &[f64], reports: &[SimReport]) -> St
 /// The traced sweep: same table, plus `--trace` (per-config traces
 /// concatenated behind `sweep_config` marker events) and `--metrics`
 /// (the batch's merged registry).
-#[cfg(feature = "telemetry")]
 fn sweep_traced(
     args: &Args,
     models: &[ModelKind],
@@ -467,9 +499,23 @@ fn sweep_traced(
 
 /// `lcf trace` — replay one seed and pretty-print the scheduler's
 /// decisions. Small defaults (4 ports, 12 slots, no warm-up) keep the
-/// output human-sized; every knob of `simulate` is accepted.
-#[cfg(feature = "telemetry")]
+/// output human-sized.
 pub fn trace(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "trace",
+        &[&[
+            "scheduler",
+            "ports",
+            "load",
+            "pattern",
+            "iterations",
+            "islip-iterations",
+            "warmup",
+            "slots",
+            "seed",
+            "backend",
+        ]],
+    )?;
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
     let model =
         ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
@@ -518,15 +564,8 @@ pub fn trace(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `lcf trace` in a build without the feature.
-#[cfg(not(feature = "telemetry"))]
-pub fn trace(_args: &Args) -> Result<String, String> {
-    Err(NEEDS_TELEMETRY.into())
-}
-
 /// Renders one trace event as a human-readable line. Unknown kinds fall
 /// back to their JSON form, so the printer never loses information.
-#[cfg(feature = "telemetry")]
 fn pretty_event(e: &lcf_telemetry::Event) -> String {
     use lcf_telemetry::Value;
     let get = |name: &str| e.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v);
@@ -596,6 +635,7 @@ fn pretty_event(e: &lcf_telemetry::Event) -> String {
 
 /// `lcf hw`.
 pub fn hw(args: &Args) -> Result<String, String> {
+    args.reject_unknown("hw", &[&["ports", "clock-mhz"]])?;
     let n: usize = args.get_parsed("ports", 16usize)?;
     if n == 0 {
         return Err("--ports must be positive".into());
@@ -644,6 +684,7 @@ pub fn hw(args: &Args) -> Result<String, String> {
 
 /// `lcf fabric`.
 pub fn fabric(args: &Args) -> Result<String, String> {
+    args.reject_unknown("fabric", &[&["ports"]])?;
     let n: usize = args.get_parsed("ports", 64usize)?;
     if n < 2 {
         return Err("--ports must be at least 2".into());
@@ -681,6 +722,18 @@ pub fn fabric(args: &Args) -> Result<String, String> {
 
 /// `lcf clint`.
 pub fn clint(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "clint",
+        &[&[
+            "hosts",
+            "bulk-load",
+            "quick-load",
+            "error-rate",
+            "gnt-error-rate",
+            "slots",
+            "seed",
+        ]],
+    )?;
     let cfg = lcf_clint::sim::ClintConfig {
         n: args.get_parsed("hosts", 16usize)?,
         bulk_load: args.get_parsed("bulk-load", 0.6f64)?,
@@ -718,6 +771,19 @@ pub fn clint(args: &Args) -> Result<String, String> {
 
 /// `lcf reliable`.
 pub fn reliable(args: &Args) -> Result<String, String> {
+    args.reject_unknown(
+        "reliable",
+        &[&[
+            "loss",
+            "hosts",
+            "load",
+            "breq-loss",
+            "back-loss",
+            "timeout",
+            "slots",
+            "seed",
+        ]],
+    )?;
     let loss = args.get_parsed("loss", 0.1f64)?;
     let cfg = lcf_clint::reliable::ReliableConfig {
         n: args.get_parsed("hosts", 16usize)?,
@@ -958,7 +1024,6 @@ mod tests {
         assert!(out.contains("delivered (unique)"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_pretty_prints_decisions() {
         let out = trace(&parse(&["--slots", "6", "--seed", "7"])).unwrap();
@@ -977,7 +1042,6 @@ mod tests {
         assert!(islip.contains("accepts"), "{islip}");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn simulate_exports_trace_and_metrics() {
         let dir = std::env::temp_dir();
@@ -1012,25 +1076,6 @@ mod tests {
         assert!(metrics.contains("\"sim.slots\":200"), "{metrics}");
         let _ = std::fs::remove_file(&tp);
         let _ = std::fs::remove_file(&mp);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn telemetry_surfaces_explain_the_missing_feature() {
-        let err = trace(&parse(&[])).unwrap_err();
-        assert!(err.contains("--features telemetry"), "{err}");
-        let args = parse(&[
-            "--scheduler",
-            "islip",
-            "--slots",
-            "100",
-            "--warmup",
-            "10",
-            "--trace",
-            "/tmp/never-written.jsonl",
-        ]);
-        let err = simulate(&args).unwrap_err();
-        assert!(err.contains("--features telemetry"), "{err}");
     }
 
     #[test]
@@ -1097,6 +1142,23 @@ mod tests {
         let err = serve(&parse(&["--control", script.to_str().unwrap()])).unwrap_err();
         let _ = std::fs::remove_file(&script);
         assert!(err.contains("unknown scheduler"), "{err}");
+    }
+
+    #[test]
+    fn stray_options_are_rejected_by_name() {
+        let err = serve(&parse(&["--shard", "4"])).unwrap_err();
+        assert!(
+            err.contains("`--shard`") && err.contains("lcf serve"),
+            "{err}"
+        );
+        let err = simulate(&parse(&["--lod", "0.5"])).unwrap_err();
+        assert!(
+            err.contains("`--lod`") && err.contains("lcf simulate"),
+            "{err}"
+        );
+        let err =
+            crate::run(&["hw".to_string(), "--port".to_string(), "8".to_string()]).unwrap_err();
+        assert!(err.contains("`--port`"), "{err}");
     }
 
     #[test]

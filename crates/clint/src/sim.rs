@@ -9,7 +9,6 @@
 use crate::packets::ConfigPacket;
 use crate::pipeline::BulkPipeline;
 use crate::quick::QuickChannel;
-#[cfg(feature = "telemetry")]
 use lcf_telemetry::{Event, MetricsRegistry, SlotClock, TraceBuffer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +18,6 @@ use std::collections::VecDeque;
 /// events (schedule/transfer/acknowledge stage progress), quick-channel
 /// collision events and CRC/reservation counters, all stamped from the
 /// simulation's slot clock.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Default)]
 pub struct ClintTelemetry {
     /// Event trace (ring buffer; oldest evicted when full).
@@ -119,7 +117,6 @@ pub struct ClintSim {
     /// Transfers that actually carried a packet last slot (their acks
     /// arrive this slot).
     last_flew: Vec<(usize, usize)>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Box<ClintTelemetry>>,
 }
 
@@ -154,7 +151,6 @@ impl ClintSim {
             bulk_latency_sum: 0.0,
             quick_latency_sum: 0.0,
             last_flew: Vec::new(),
-            #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg,
         }
@@ -171,7 +167,6 @@ impl ClintSim {
     /// Like [`run`](ClintSim::run), but records telemetry into a trace
     /// buffer of `trace_capacity` events (0 = unbounded). The report is
     /// identical to the untraced one — telemetry is read-only.
-    #[cfg(feature = "telemetry")]
     pub fn run_traced(mut self, trace_capacity: usize) -> (ClintReport, Box<ClintTelemetry>) {
         self.telemetry = Some(Box::new(ClintTelemetry {
             trace: TraceBuffer::new(trace_capacity),
@@ -203,7 +198,6 @@ impl ClintSim {
         // Counters are derived at the end of the slot by diffing the report
         // against this snapshot — one instrumentation point instead of one
         // per increment site, and provably consistent with the report.
-        #[cfg(feature = "telemetry")]
         let report_before = if let Some(t) = self.telemetry.as_deref_mut() {
             t.clock.seek(slot);
             Some(self.report.clone())
@@ -263,7 +257,6 @@ impl ClintSim {
         // One event per slot tells the 3-stage story: grants issued by this
         // slot's schedule stage, transfers flying for last slot's schedule,
         // acks returning for the slot before that.
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.as_deref_mut() {
             let granted = events.grants.iter().filter(|g| g.gnt_val).count();
             t.trace.push(
@@ -342,7 +335,6 @@ impl ClintSim {
             self.quick_latency_sum += (slot - gen) as f64;
         }
         self.report.quick_collisions += outcome.dropped.len() as u64;
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.as_deref_mut() {
             for &(src, dst) in &outcome.dropped {
                 t.trace.push(
@@ -353,7 +345,6 @@ impl ClintSim {
             }
         }
 
-        #[cfg(feature = "telemetry")]
         if let Some(before) = report_before {
             // lint:allow(no-panic): report_before is Some only while telemetry is
             let t = self.telemetry.as_deref_mut().expect("telemetry enabled");
@@ -531,7 +522,6 @@ mod tests {
         assert_eq!(a.quick_collisions, b.quick_collisions);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_run_matches_untraced_and_records_the_story() {
         let cfg = ClintConfig {

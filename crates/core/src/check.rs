@@ -531,12 +531,10 @@ impl Scheduler for CheckedScheduler {
 
     // Tracing applies to the primary only: the shadow's job is divergence
     // detection, and tracing never changes a schedule.
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
         self.inner.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.inner.drain_events(sink);
     }

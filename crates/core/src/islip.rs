@@ -7,10 +7,9 @@
 
 use crate::arbiter::RoundRobinPointer;
 use crate::bitkern::{self, Backend};
-#[cfg(feature = "telemetry")]
-use crate::lcf::IterationTrace;
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::IterationTrace;
 use crate::traits::Scheduler;
 
 /// The iSLIP scheduler.
@@ -53,9 +52,6 @@ pub struct Islip {
     unmatched_in: Vec<u64>,
     unmatched_out: Vec<u64>,
     cand: Vec<u64>,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
-    #[cfg(feature = "telemetry")]
     trace: IterationTrace,
 }
 
@@ -81,17 +77,12 @@ impl Islip {
             unmatched_in: vec![0; w],
             unmatched_out: vec![0; w],
             cand: vec![0; w],
-            #[cfg(feature = "telemetry")]
-            tracing: false,
-            #[cfg(feature = "telemetry")]
             trace: IterationTrace::default(),
         }
     }
 
     /// Convergence record of the most recent `schedule` call (same shape as
     /// [`DistributedLcf::last_trace`](crate::lcf::DistributedLcf::last_trace)).
-    /// Only populated while tracing.
-    #[cfg(feature = "telemetry")]
     pub fn last_trace(&self) -> &IterationTrace {
         &self.trace
     }
@@ -135,14 +126,8 @@ impl Scheduler for Islip {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        // While tracing, take the scalar reference kernel: it is
-        // bit-identical to the word-parallel kernel by contract, and it is
-        // where step recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
+        self.trace.begin_cycle();
+        if self.backend.word_parallel() {
             self.schedule_bitset(requests, out);
         } else {
             self.schedule_scalar(requests, out);
@@ -156,18 +141,13 @@ impl Scheduler for Islip {
         for p in &mut self.accept_ptr {
             *p = RoundRobinPointer::new(self.n);
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace = IterationTrace::default();
-        }
+        self.trace.begin_cycle();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.trace.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.trace.drain_into(sink);
     }
@@ -179,25 +159,9 @@ impl Islip {
         let n = self.n;
         out.reset(n);
         let matching = out;
-        #[cfg(feature = "telemetry")]
-        self.trace.begin_cycle();
 
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
-            }
+            self.trace.begin_iteration(requests, matching);
             // Grant step.
             for j in 0..n {
                 self.grant_of_target[j] = None;
@@ -206,14 +170,8 @@ impl Islip {
                 }
                 self.grant_of_target[j] =
                     self.grant_ptr[j].select(|i| !matching.input_matched(i) && requests.get(i, j));
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                if let Some(i) = self.grant_of_target[j] {
+                    self.trace.grant(i, j);
                 }
             }
 
@@ -227,10 +185,7 @@ impl Islip {
                 if let Some(j) = accepted {
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.trace.accept(i, j);
                     // Pointers slip only on first-iteration accepts; this is
                     // the rule that prevents starvation (McKeown, Sec. III).
                     if iter == 0 {
@@ -239,18 +194,7 @@ impl Islip {
                     }
                 }
             }
-            #[cfg(feature = "telemetry")]
-            {
-                if let Some(step) = step.take() {
-                    self.trace.steps.push(step);
-                }
-                if self.tracing {
-                    self.trace.new_matches.push(new_matches);
-                    if new_matches == 0 {
-                        self.trace.converged_after = Some(iter + 1);
-                    }
-                }
-            }
+            self.trace.end_iteration(iter, new_matches);
             if new_matches == 0 {
                 break;
             }
@@ -274,6 +218,7 @@ impl Islip {
         bitkern::mask_fill(&mut self.unmatched_out, n);
 
         for iter in 0..self.iterations {
+            self.trace.begin_iteration(requests, matching);
             // Grant step: each unmatched output offers its grant to the
             // first requesting unmatched input at or after its pointer.
             // Walking word copies of the unmatched-outputs mask visits the
@@ -290,6 +235,7 @@ impl Islip {
                     if let Some(i) = bitkern::rotating_first(&self.cand, n, self.grant_ptr[j].pos())
                     {
                         bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
+                        self.trace.grant(i, j);
                     }
                 }
             }
@@ -314,6 +260,7 @@ impl Islip {
                         bitkern::clear_bit(&mut self.unmatched_in, i);
                         bitkern::clear_bit(&mut self.unmatched_out, j);
                         new_matches += 1;
+                        self.trace.accept(i, j);
                         if iter == 0 {
                             self.grant_ptr[j].advance_past(i);
                             self.accept_ptr[i].advance_past(j);
@@ -321,6 +268,7 @@ impl Islip {
                     }
                 }
             }
+            self.trace.end_iteration(iter, new_matches);
             if new_matches == 0 {
                 break;
             }

@@ -4,6 +4,7 @@ use crate::arbiter::DiagonalPointer;
 use crate::bitkern::{self, Backend};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::{replay_central, GrantDecision};
 use crate::traits::Scheduler;
 
 /// How much round-robin protection the central LCF scheduler applies.
@@ -86,7 +87,8 @@ pub struct CentralLcf {
     pointer: DiagonalPointer,
     policy: RrPolicy,
     backend: Backend,
-    // Workhorse state, reused across slots to keep scheduling allocation-free.
+    // Workhorse state of the scalar kernel and of the trace replay, reused
+    // across slots to keep scheduling allocation-free.
     work: RequestMatrix,
     nrq: Vec<usize>,
     // Word-parallel scratch (bitset backend): the *original* request matrix
@@ -105,10 +107,8 @@ pub struct CentralLcf {
     // construction-time rotation-position table it scans against.
     keys16: Vec<u64>,
     rot16: Vec<u64>,
-    #[cfg(feature = "telemetry")]
     tracing: bool,
-    #[cfg(feature = "telemetry")]
-    decisions: Vec<crate::telemetry::GrantDecision>,
+    decisions: Vec<GrantDecision>,
 }
 
 impl CentralLcf {
@@ -149,9 +149,7 @@ impl CentralLcf {
             } else {
                 Vec::new()
             },
-            #[cfg(feature = "telemetry")]
             tracing: false,
-            #[cfg(feature = "telemetry")]
             decisions: Vec::new(),
         }
     }
@@ -159,8 +157,7 @@ impl CentralLcf {
     /// The grant decisions of the most recent [`schedule`](Scheduler::schedule)
     /// call, in output-scheduling order. Empty unless tracing was enabled
     /// via [`Scheduler::set_tracing`].
-    #[cfg(feature = "telemetry")]
-    pub fn last_decisions(&self) -> &[crate::telemetry::GrantDecision] {
+    pub fn last_decisions(&self) -> &[GrantDecision] {
         &self.decisions
     }
 
@@ -216,17 +213,23 @@ impl Scheduler for CentralLcf {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        // While tracing, always take the scalar reference kernel: it is
-        // bit-identical to the word-parallel kernel by contract, and it is
-        // where the per-grant decision recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
+        if self.backend.word_parallel() {
             self.schedule_bitset(requests, out)
         } else {
             self.schedule_scalar(requests, out)
+        }
+        // Decisions are derived from the kernel's output, so tracing runs
+        // the configured kernel unchanged.
+        if self.tracing {
+            replay_central(
+                self.policy,
+                (self.pointer.i, self.pointer.j),
+                requests,
+                out,
+                &mut self.work,
+                &mut self.nrq,
+                &mut self.decisions,
+            );
         }
         // Self-check the round-robin precedence rule against the pre-advance
         // pointer in checked debug builds.
@@ -246,11 +249,9 @@ impl Scheduler for CentralLcf {
 
     fn reset(&mut self) {
         self.pointer = DiagonalPointer::new(self.n);
-        #[cfg(feature = "telemetry")]
         self.decisions.clear();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
         self.tracing = enabled;
         if !enabled {
@@ -258,7 +259,6 @@ impl Scheduler for CentralLcf {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         for decision in self.decisions.drain(..) {
             sink(decision.to_event());
@@ -280,9 +280,6 @@ impl CentralLcf {
         for req in 0..n {
             self.nrq[req] = self.work.nrq(req);
         }
-        #[cfg(feature = "telemetry")]
-        self.decisions.clear();
-
         // Grant bookkeeping shared by the pre-pass and the main loop.
         let grant = |schedule: &mut Matching,
                      work: &mut RequestMatrix,
@@ -305,14 +302,6 @@ impl CentralLcf {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
                 if self.work.get(di, dj) && !out.output_matched(dj) {
-                    #[cfg(feature = "telemetry")]
-                    if self.tracing {
-                        self.record_decision(
-                            dj,
-                            di,
-                            crate::telemetry::GrantReason::PriorityDiagonal,
-                        );
-                    }
                     grant(out, &mut self.work, &mut self.nrq, di, dj);
                 }
             }
@@ -344,8 +333,6 @@ impl CentralLcf {
                 }
                 _ => None,
             };
-            #[cfg(feature = "telemetry")]
-            let fast_path = gnt.is_some();
 
             if gnt.is_none() {
                 // Find the requester with the smallest number of requests;
@@ -362,75 +349,9 @@ impl CentralLcf {
             }
 
             if let Some(gnt) = gnt {
-                #[cfg(feature = "telemetry")]
-                if self.tracing {
-                    let reason = self.classify(resource, gnt, fast_path);
-                    self.record_decision(resource, gnt, reason);
-                }
                 grant(out, &mut self.work, &mut self.nrq, gnt, resource);
             }
         }
-    }
-
-    /// Why `winner` won `resource` — classified against the *current* work
-    /// matrix and NRQ counts, i.e. before the grant is applied.
-    #[cfg(feature = "telemetry")]
-    fn classify(
-        &self,
-        resource: usize,
-        winner: usize,
-        fast_path: bool,
-    ) -> crate::telemetry::GrantReason {
-        use crate::telemetry::GrantReason;
-        if fast_path {
-            return if self.policy == RrPolicy::Column {
-                GrantReason::ColumnChain
-            } else {
-                GrantReason::RrPosition
-            };
-        }
-        let min = self.nrq[winner];
-        let mut rivals = 0usize;
-        let mut tied = false;
-        for req in self.work.col_ones(resource) {
-            if req == winner {
-                continue;
-            }
-            rivals += 1;
-            if self.nrq[req] <= min {
-                tied = true;
-            }
-        }
-        if rivals == 0 {
-            GrantReason::OnlyChoice
-        } else if tied {
-            GrantReason::TieBreak
-        } else {
-            GrantReason::MinCount
-        }
-    }
-
-    /// Records one grant decision with the losing requesters' counts.
-    #[cfg(feature = "telemetry")]
-    fn record_decision(
-        &mut self,
-        resource: usize,
-        winner: usize,
-        reason: crate::telemetry::GrantReason,
-    ) {
-        let losers: Vec<(usize, usize)> = self
-            .work
-            .col_ones(resource)
-            .filter(|&req| req != winner)
-            .map(|req| (req, self.nrq[req]))
-            .collect();
-        self.decisions.push(crate::telemetry::GrantDecision {
-            resource,
-            winner,
-            winner_nrq: self.nrq[winner],
-            reason,
-            losers,
-        });
     }
 
     /// The word-parallel kernel: the same Fig. 2 algorithm on multi-word

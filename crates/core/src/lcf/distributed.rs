@@ -3,63 +3,8 @@
 use crate::arbiter::{min_rotating, DiagonalPointer};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::IterationTrace;
 use crate::traits::Scheduler;
-
-/// Per-cycle convergence record of the last [`DistributedLcf::schedule`] call.
-///
-/// Used by the EXT-2 experiment (iterations needed vs `n`): the paper argues
-/// the distributed scheduler converges in `O(log² n)` iterations like PIM.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct IterationTrace {
-    /// Number of *new* matches made in each executed iteration.
-    pub new_matches: Vec<usize>,
-    /// The 1-based iteration after which no further matches were possible
-    /// (the algorithm had converged), if it converged within the budget.
-    pub converged_after: Option<usize>,
-    /// The round-robin pre-grant of this cycle, if the scheduler made one
-    /// (only populated while tracing).
-    #[cfg(feature = "telemetry")]
-    pub pre_grant: Option<(usize, usize)>,
-    /// Full request/grant/accept sets per iteration (only populated while
-    /// tracing — see [`Scheduler::set_tracing`]).
-    #[cfg(feature = "telemetry")]
-    pub steps: Vec<crate::telemetry::IterationStep>,
-}
-
-impl IterationTrace {
-    /// Total matches made across all iterations (excluding a round-robin
-    /// pre-grant).
-    pub fn total_matches(&self) -> usize {
-        self.new_matches.iter().sum()
-    }
-
-    /// Resets the trace for a new scheduling cycle.
-    pub(crate) fn begin_cycle(&mut self) {
-        self.new_matches.clear();
-        self.converged_after = None;
-        #[cfg(feature = "telemetry")]
-        {
-            self.pre_grant = None;
-            self.steps.clear();
-        }
-    }
-
-    /// Emits the trace as events (a `pre_grant` event, then one `iteration`
-    /// event per recorded step), stamped with slot 0.
-    #[cfg(feature = "telemetry")]
-    pub(crate) fn drain_into(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        if let Some((i, j)) = self.pre_grant.take() {
-            sink(
-                lcf_telemetry::Event::new(0, "pre_grant")
-                    .field("input", i)
-                    .field("output", j),
-            );
-        }
-        for (iter, step) in self.steps.drain(..).enumerate() {
-            sink(step.to_event(iter));
-        }
-    }
-}
 
 /// The distributed Least Choice First scheduler (paper Sec. 5).
 ///
@@ -102,8 +47,6 @@ pub struct DistributedLcf {
     ngt: Vec<usize>,
     grant_of_target: Vec<Option<usize>>,
     trace: IterationTrace,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
 }
 
 impl DistributedLcf {
@@ -133,8 +76,6 @@ impl DistributedLcf {
             ngt: vec![0; n],
             grant_of_target: vec![None; n],
             trace: IterationTrace::default(),
-            #[cfg(feature = "telemetry")]
-            tracing: false,
         }
     }
 
@@ -184,15 +125,10 @@ impl Scheduler for DistributedLcf {
         // before regular LCF iterations take place (Sec. 5).
         if self.round_robin && requests.get(i_off, j_off) {
             matching.connect(i_off, j_off);
-            #[cfg(feature = "telemetry")]
-            if self.tracing {
-                self.trace.pre_grant = Some((i_off, j_off));
-            }
+            self.trace.pre_grant(i_off, j_off);
         }
 
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
             // --- Request step -------------------------------------------
             // NRQ counts only requests an unmatched initiator can still act
             // on, i.e. those aimed at unmatched targets (matched targets
@@ -207,20 +143,7 @@ impl Scheduler for DistributedLcf {
                         .count()
                 };
             }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
-            }
+            self.trace.begin_iteration(requests, matching);
 
             // --- Grant step ----------------------------------------------
             for j in 0..n {
@@ -241,14 +164,8 @@ impl Scheduler for DistributedLcf {
                 self.grant_of_target[j] = min_rotating(n, self.grant_tb[j], |i| {
                     (!matching.input_matched(i) && requests.get(i, j)).then_some(self.nrq[i])
                 });
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                if let Some(i) = self.grant_of_target[j] {
+                    self.trace.grant(i, j);
                 }
             }
 
@@ -266,20 +183,12 @@ impl Scheduler for DistributedLcf {
                 if let Some(j) = accepted {
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.trace.accept(i, j);
                 }
             }
 
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.take() {
-                self.trace.steps.push(step);
-            }
-            self.trace.new_matches.push(new_matches);
+            self.trace.end_iteration(iter, new_matches);
             if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
                 break;
             }
         }
@@ -294,15 +203,13 @@ impl Scheduler for DistributedLcf {
         self.pointer = DiagonalPointer::new(self.n);
         self.grant_tb = (0..self.n).collect();
         self.accept_tb = (0..self.n).collect();
-        self.trace = IterationTrace::default();
+        self.trace.begin_cycle();
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.trace.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.trace.drain_into(sink);
     }

@@ -19,5 +19,6 @@
 mod central;
 mod distributed;
 
+pub use crate::telemetry::IterationTrace;
 pub use central::{CentralLcf, RrPolicy};
-pub use distributed::{DistributedLcf, IterationTrace};
+pub use distributed::DistributedLcf;

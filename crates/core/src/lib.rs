@@ -60,7 +60,6 @@ pub mod mwm;
 pub mod pim;
 pub mod registry;
 pub mod request;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod traits;
 pub mod wavefront;

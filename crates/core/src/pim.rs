@@ -5,9 +5,9 @@
 //! chosen *uniformly at random* instead of by least-choice priority.
 
 use crate::bitkern::{self, Backend};
-use crate::lcf::IterationTrace;
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
+use crate::telemetry::IterationTrace;
 use crate::traits::Scheduler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +32,6 @@ pub struct Pim {
     grant_of_target: Vec<Option<usize>>,
     candidates: Vec<usize>,
     trace: IterationTrace,
-    #[cfg(feature = "telemetry")]
-    tracing: bool,
     // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
     // masks plus per-port candidate and unmatched scratch masks.
     rows: Vec<u64>,
@@ -59,8 +57,6 @@ impl Pim {
             grant_of_target: vec![None; n],
             candidates: Vec::with_capacity(n),
             trace: IterationTrace::default(),
-            #[cfg(feature = "telemetry")]
-            tracing: false,
             rows: Vec::with_capacity(n * w),
             cols: Vec::with_capacity(n * w),
             grant_mask: vec![0; n * w],
@@ -106,14 +102,8 @@ impl Scheduler for Pim {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        // While tracing, take the scalar reference kernel: both kernels
-        // consume the RNG identically and produce bit-identical matchings,
-        // and the scalar kernel is where step recording lives.
-        #[cfg(feature = "telemetry")]
-        let word_parallel = !self.tracing && self.backend.word_parallel();
-        #[cfg(not(feature = "telemetry"))]
-        let word_parallel = self.backend.word_parallel();
-        if word_parallel {
+        self.trace.begin_cycle();
+        if self.backend.word_parallel() {
             self.schedule_bitset(requests, out);
         } else {
             self.schedule_scalar(requests, out);
@@ -124,12 +114,10 @@ impl Scheduler for Pim {
         self.rng = StdRng::seed_from_u64(self.seed);
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.trace.set_tracing(enabled);
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         self.trace.drain_into(sink);
     }
@@ -141,24 +129,9 @@ impl Pim {
         let n = self.n;
         out.reset(n);
         let matching = out;
-        self.trace.begin_cycle();
 
         for iter in 0..self.iterations {
-            #[cfg(feature = "telemetry")]
-            let mut step = self.tracing.then(crate::telemetry::IterationStep::default);
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for i in 0..n {
-                    if matching.input_matched(i) {
-                        continue;
-                    }
-                    for j in requests.row_ones(i) {
-                        if !matching.output_matched(j) {
-                            step.requests.push((i, j));
-                        }
-                    }
-                }
-            }
+            self.trace.begin_iteration(requests, matching);
             // Grant: each unmatched output picks uniformly among the
             // unmatched inputs requesting it.
             for j in 0..n {
@@ -172,15 +145,7 @@ impl Pim {
                 if !self.candidates.is_empty() {
                     let pick = self.rng.gen_range(0..self.candidates.len());
                     self.grant_of_target[j] = Some(self.candidates[pick]);
-                }
-            }
-
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.as_mut() {
-                for j in 0..n {
-                    if let Some(i) = self.grant_of_target[j] {
-                        step.grants.push((i, j));
-                    }
+                    self.trace.grant(self.candidates[pick], j);
                 }
             }
 
@@ -198,19 +163,11 @@ impl Pim {
                     let j = self.candidates[pick];
                     matching.connect(i, j);
                     new_matches += 1;
-                    #[cfg(feature = "telemetry")]
-                    if let Some(step) = step.as_mut() {
-                        step.accepts.push((i, j));
-                    }
+                    self.trace.accept(i, j);
                 }
             }
-            #[cfg(feature = "telemetry")]
-            if let Some(step) = step.take() {
-                self.trace.steps.push(step);
-            }
-            self.trace.new_matches.push(new_matches);
+            self.trace.end_iteration(iter, new_matches);
             if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
                 break;
             }
         }
@@ -227,13 +184,13 @@ impl Pim {
         let w = bitkern::words_for(n);
         out.reset(n);
         let matching = out;
-        self.trace.begin_cycle();
         bitkern::load_rows(requests.bits(), &mut self.rows);
         bitkern::col_masks(&self.rows, n, &mut self.cols);
         bitkern::mask_fill(&mut self.unmatched_in, n);
         bitkern::mask_fill(&mut self.unmatched_out, n);
 
         for iter in 0..self.iterations {
+            self.trace.begin_iteration(requests, matching);
             // Grant: each unmatched output picks uniformly among the
             // unmatched inputs requesting it (k-th set bit of the mask,
             // ascending — the mask order matches the scalar candidate list).
@@ -252,6 +209,7 @@ impl Pim {
                         let pick = self.rng.gen_range(0..count);
                         let i = bitkern::kth_set_bit(&self.cand, pick);
                         bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
+                        self.trace.grant(i, j);
                     }
                 }
             }
@@ -274,12 +232,12 @@ impl Pim {
                         bitkern::clear_bit(&mut self.unmatched_in, i);
                         bitkern::clear_bit(&mut self.unmatched_out, j);
                         new_matches += 1;
+                        self.trace.accept(i, j);
                     }
                 }
             }
-            self.trace.new_matches.push(new_matches);
+            self.trace.end_iteration(iter, new_matches);
             if new_matches == 0 {
-                self.trace.converged_after = Some(iter + 1);
                 break;
             }
         }

@@ -42,16 +42,6 @@ pub enum SchedulerKind {
 pub enum BackendChoice {
     /// The scheduler runs the backend the caller asked for.
     AsRequested(Backend),
-    /// Reserved: a bitset request could not be honored and the scheduler
-    /// fell back to the scalar reference kernel. The multi-word kernels
-    /// ([`bitkern`](crate::bitkern)) serve every port count, so no current
-    /// scheduler constructs this variant; it remains so that callers (and
-    /// the bench fallback asserts) keep a loud guard should a future
-    /// kernel reintroduce a size limit.
-    ScalarFallback {
-        /// The port count that forced the fallback.
-        n: usize,
-    },
     /// The scheduler has no word-parallel kernel at all; the backend request
     /// is ignored and the scalar implementation always runs.
     NoKernel,
@@ -62,13 +52,8 @@ impl BackendChoice {
     pub fn effective(self) -> Backend {
         match self {
             BackendChoice::AsRequested(b) => b,
-            BackendChoice::ScalarFallback { .. } | BackendChoice::NoKernel => Backend::Scalar,
+            BackendChoice::NoKernel => Backend::Scalar,
         }
-    }
-
-    /// True if a bitset request was silently impossible to honor.
-    pub fn is_fallback(self) -> bool {
-        matches!(self, BackendChoice::ScalarFallback { .. })
     }
 }
 
@@ -76,9 +61,6 @@ impl std::fmt::Display for BackendChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendChoice::AsRequested(b) => f.write_str(b.name()),
-            BackendChoice::ScalarFallback { n } => {
-                write!(f, "scalar (bitset unavailable for n = {n})")
-            }
             BackendChoice::NoKernel => f.write_str("scalar (no word-parallel kernel)"),
         }
     }
@@ -460,18 +442,6 @@ mod tests {
             SchedulerKind::MaxSize.resolve_backend(8, Backend::Bitset),
             BackendChoice::NoKernel
         );
-    }
-
-    #[test]
-    fn scalar_fallback_variant_stays_loud() {
-        // No scheduler constructs ScalarFallback today, but the reporting
-        // surface must stay meaningful for the bench fallback asserts.
-        let fallback = BackendChoice::ScalarFallback { n: 100 };
-        assert!(fallback.is_fallback());
-        assert_eq!(fallback.effective(), Backend::Scalar);
-        assert!(fallback.to_string().contains("n = 100"));
-        assert!(!BackendChoice::AsRequested(Backend::Bitset).is_fallback());
-        assert!(!BackendChoice::NoKernel.is_fallback());
     }
 
     #[test]

@@ -59,17 +59,14 @@ pub trait Scheduler {
     /// [`drain_events`](Scheduler::drain_events). Default: ignored —
     /// schedulers without instrumentation trace nothing.
     ///
-    /// Tracing never changes the schedule: instrumented schedulers route to
-    /// their scalar reference kernel while tracing, which is bit-identical
-    /// to the word-parallel kernel by contract.
-    #[cfg(feature = "telemetry")]
+    /// Tracing never changes the schedule: instrumented schedulers run the
+    /// kernel they were configured with and record from its output.
     fn set_tracing(&mut self, _enabled: bool) {}
 
     /// Drains the decision events recorded since the last drain into
-    /// `sink`. Events are stamped with slot 0 — the simulation's shared
-    /// `drive()` loop re-stamps them with the current slot before they
-    /// enter the trace. Default: no events.
-    #[cfg(feature = "telemetry")]
+    /// `sink`. Events are stamped with slot 0 — the switch model re-stamps
+    /// them with the current slot before they enter the trace. Default: no
+    /// events.
     fn drain_events(&mut self, _sink: &mut dyn FnMut(lcf_telemetry::Event)) {}
 }
 
@@ -94,12 +91,10 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
         (**self).reset()
     }
 
-    #[cfg(feature = "telemetry")]
     fn set_tracing(&mut self, enabled: bool) {
         (**self).set_tracing(enabled)
     }
 
-    #[cfg(feature = "telemetry")]
     fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
         (**self).drain_events(sink)
     }

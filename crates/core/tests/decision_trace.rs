@@ -6,12 +6,13 @@
 //! with the fewest outstanding requests, with ties broken by the rotating
 //! priority chain starting at the diagonal requester.
 
-#![cfg(feature = "telemetry")]
-
 use lcf_core::bitkern::Backend;
 use lcf_core::lcf::RrPolicy;
 use lcf_core::prelude::*;
 use lcf_core::telemetry::GrantReason;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The 4×4 request pattern of Fig. 3 (I = 1, J = 0 after one advance).
 fn figure3_requests() -> RequestMatrix {
@@ -104,22 +105,65 @@ fn priority_diagonal_pre_pass_is_reported() {
     );
 }
 
-#[test]
-fn tracing_never_changes_the_schedule() {
-    // Traced scalar, untraced scalar and untraced bitset must produce the
-    // same matchings on the same request stream.
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(0x7E1E);
-    let mut traced = CentralLcf::with_round_robin(16).with_backend(Backend::Bitset);
-    traced.set_tracing(true);
-    let mut scalar = CentralLcf::with_round_robin(16).with_backend(Backend::Scalar);
-    let mut bitset = CentralLcf::with_round_robin(16).with_backend(Backend::Bitset);
-    for _ in 0..200 {
-        let requests = RequestMatrix::random(16, 0.3, &mut rng);
-        let m = traced.schedule(&requests);
-        assert_eq!(m, scalar.schedule(&requests));
-        assert_eq!(m, bitset.schedule(&requests));
+const ALL_POLICIES: [RrPolicy; 6] = [
+    RrPolicy::None,
+    RrPolicy::SinglePosition,
+    RrPolicy::Row,
+    RrPolicy::Column,
+    RrPolicy::Diagonal,
+    RrPolicy::PriorityDiagonal,
+];
+
+/// Central LCF under every policy, plus iSLIP and PIM: every scheduler with
+/// both a word-parallel kernel and decision tracing.
+fn lineup(n: usize, backend: Backend, traced: bool) -> Vec<Box<dyn Scheduler + Send>> {
+    let mut all: Vec<Box<dyn Scheduler + Send>> = ALL_POLICIES
+        .iter()
+        .map(|&p| {
+            Box::new(CentralLcf::with_policy(n, p).with_backend(backend))
+                as Box<dyn Scheduler + Send>
+        })
+        .collect();
+    all.push(Box::new(Islip::new(n, 4).with_backend(backend)));
+    all.push(Box::new(Pim::new(n, 4, 0x5EED).with_backend(backend)));
+    for s in &mut all {
+        s.set_tracing(traced);
+    }
+    all
+}
+
+fn drained(s: &mut dyn Scheduler) -> Vec<String> {
+    let mut lines = Vec::new();
+    s.drain_events(&mut |e| lines.push(e.to_json()));
+    lines
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tracing runs the configured kernel: a traced bitset run records the
+    /// same decisions as a traced scalar run, and schedules exactly what an
+    /// untraced run does — below, at and across the 64-port word boundary.
+    #[test]
+    fn traced_bitset_matches_traced_scalar_and_untraced(
+        n in proptest::sample::select(vec![4usize, 16, 65]),
+        seed in any::<u64>(),
+        density in 0.0f64..=1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bitset = lineup(n, Backend::Bitset, true);
+        let mut scalar = lineup(n, Backend::Scalar, true);
+        let mut plain = lineup(n, Backend::Bitset, false);
+        for slot in 0..4 {
+            let requests = RequestMatrix::random(n, density, &mut rng);
+            for ((b, s), p) in bitset.iter_mut().zip(&mut scalar).zip(&mut plain) {
+                let m = b.schedule(&requests);
+                let label = format!("{} n={n} slot {slot}", b.name());
+                assert_eq!(m, p.schedule(&requests), "{label}: tracing changed the matching");
+                assert_eq!(m, s.schedule(&requests), "{label}: kernels diverged");
+                assert_eq!(drained(b.as_mut()), drained(s.as_mut()), "{label}: events differ");
+            }
+        }
     }
 }
 

@@ -55,15 +55,3 @@ pub fn contracted_arrival(rng: &mut SimRng, n: usize) -> Option<usize> {
         None
     }
 }
-
-/// Trips telemetry-hygiene: lcf_telemetry named outside any
-/// `#[cfg(feature = "telemetry")]` gate.
-pub fn seeded_probe(events: &mut Vec<lcf_telemetry::Event>) {
-    events.clear();
-}
-
-/// Does NOT trip telemetry-hygiene: the item is feature-gated.
-#[cfg(feature = "telemetry")]
-pub fn gated_probe(events: &mut Vec<lcf_telemetry::Event>) {
-    events.clear();
-}

@@ -4,10 +4,8 @@
 //! tokens plus the comment list. Comments (line, nested block, doc),
 //! char/byte/numeric literals and lifetimes are consumed without producing
 //! tokens, so rule words inside them can never fire. String literals *do*
-//! produce a [`Tok::Str`] carrying their content — the item parser needs
-//! the `"telemetry"` in `#[cfg(feature = "telemetry")]` — but since they
-//! are a distinct token kind, identifier-matching rules still never see
-//! them.
+//! produce a [`Tok::Str`] carrying their content, but since they are a
+//! distinct token kind, identifier-matching rules never see them.
 
 /// Token categories the rules and the item parser care about.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -13,13 +13,12 @@
 //! | `forbid-unsafe` | `#![forbid(unsafe_code)]` present in every crate root (`src/lib.rs` / `src/main.rs` / `src/bin/*.rs`) | whole workspace |
 //! | `hot-path-alloc` | no `Matching::new`, `vec![...]` or `with_capacity` inside per-slot hot functions (`schedule_into`, `schedule_weighted_into`, `step`, `step_window`) **or any same-crate fn they call** — buffers are sized at construction and reused | core, sim |
 //! | `rng-stream` | no branch-dependent RNG draw (a draw reachable under only one arm of `if`/`match`, in a `while`/`loop`, or inside a lazy combinator closure) unless the enclosing fn documents its draw-count contract with `lint:allow(rng-stream): ...` | sim traffic, rng |
-//! | `telemetry-hygiene` | no use of `lcf_telemetry` symbols outside a `#[cfg(feature = "telemetry")]`-gated item or block — the default-off hot path must provably not touch telemetry | core, sim, clint, cli |
 //!
 //! The analysis is structure-aware but still hand-rolled and
 //! dependency-free: the [`lex`] module tokenizes (comments, raw strings,
 //! lifetimes, numeric suffixes all handled), and the [`parse`] module
-//! recovers the item tree — `fn`/`impl` spans with owners, `#[cfg(...)]`
-//! gates (test and telemetry), out-of-line `mod` declarations — plus
+//! recovers the item tree — `fn`/`impl` spans with owners, test
+//! `#[cfg(...)]` gates, out-of-line `mod` declarations — plus
 //! enough call structure for a one-level intra-crate call graph. Items
 //! gated behind a `test` cfg (`#[cfg(test)]` modules, `#[test]`
 //! functions) are skipped by every content rule; `cfg_attr(test, ...)`
@@ -87,13 +86,11 @@ pub mod rules {
     pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
     /// Branch-dependent RNG draw without a documented draw-count contract.
     pub const RNG_STREAM: &str = "rng-stream";
-    /// `lcf_telemetry` use outside a `#[cfg(feature = "telemetry")]` gate.
-    pub const TELEMETRY_HYGIENE: &str = "telemetry-hygiene";
     /// Malformed `lint:allow` tag (unknown rule or empty justification).
     pub const BAD_ALLOW_TAG: &str = "bad-allow-tag";
 
     /// Every content rule a `lint:allow` tag may name.
-    pub const ALL: [&str; 8] = [
+    pub const ALL: [&str; 7] = [
         HASH_COLLECTIONS,
         WALL_CLOCK,
         NO_PANIC,
@@ -101,7 +98,6 @@ pub mod rules {
         FORBID_UNSAFE,
         HOT_PATH_ALLOC,
         RNG_STREAM,
-        TELEMETRY_HYGIENE,
     ];
 }
 
@@ -125,8 +121,6 @@ pub struct RuleSet {
     pub hot_path_alloc: bool,
     /// Enforce the `rng-stream` rule.
     pub rng_stream: bool,
-    /// Enforce the `telemetry-hygiene` rule.
-    pub telemetry_hygiene: bool,
 }
 
 impl RuleSet {
@@ -140,7 +134,6 @@ impl RuleSet {
             forbid_unsafe: true,
             hot_path_alloc: true,
             rng_stream: true,
-            telemetry_hygiene: true,
         }
     }
 
@@ -152,8 +145,7 @@ impl RuleSet {
             || self.truncating_cast
             || self.forbid_unsafe
             || self.hot_path_alloc
-            || self.rng_stream
-            || self.telemetry_hygiene)
+            || self.rng_stream)
     }
 }
 
@@ -279,8 +271,8 @@ impl SourceFile {
     }
 
     /// The file's out-of-line `mod name;` declarations with their cfg
-    /// gates — the binary uses these to propagate a parent file's
-    /// `#[cfg(feature = "telemetry")]` gate onto the child file.
+    /// gates — the binary uses these to skip a child file whose parent
+    /// declares it behind `#[cfg(test)]`.
     pub fn mod_decls(&self) -> &[parse::ModDecl] {
         &self.parsed.mod_decls
     }
@@ -349,7 +341,7 @@ pub fn lint_files(files: &[(SourceFile, RuleSet)]) -> Vec<Finding> {
 }
 
 /// All per-file rules: tag validation, forbid-unsafe, the flat content
-/// scan (hash/wall-clock/no-panic/cast/telemetry), and the per-fn
+/// scan (hash/wall-clock/no-panic/cast), and the per-fn
 /// rng-stream scan.
 fn file_pass(sf: &SourceFile, rules: &RuleSet, findings: &mut Vec<Finding>) {
     // Malformed tags are findings themselves — a silent bad tag would
@@ -361,8 +353,7 @@ fn file_pass(sf: &SourceFile, rules: &RuleSet, findings: &mut Vec<Finding>) {
         || rules.no_panic
         || rules.truncating_cast
         || rules.hot_path_alloc
-        || rules.rng_stream
-        || rules.telemetry_hygiene;
+        || rules.rng_stream;
     if content_rules {
         for t in &sf.tags {
             if !rules::ALL.contains(&t.rule.as_str()) || !t.justified {
@@ -443,12 +434,6 @@ fn file_pass(sf: &SourceFile, rules: &RuleSet, findings: &mut Vec<Finding>) {
                             push(rules::TRUNCATING_CAST, format!("truncating cast `as {ty}`"));
                         }
                     }
-                }
-                "lcf_telemetry" if rules.telemetry_hygiene && !sf.parsed.in_telemetry_gate(idx) => {
-                    push(
-                        rules::TELEMETRY_HYGIENE,
-                        "use of lcf_telemetry outside #[cfg(feature = \"telemetry\")]".to_string(),
-                    );
                 }
                 _ => {}
             }
@@ -1184,62 +1169,6 @@ mod tests {
         let src = format!(
             "{PREAMBLE}#[cfg(test)]\nmod tests {{\n\
              fn t(rng: &mut R) {{ if x {{ rng.gen_range(0..2); }} }}\n\
-             }}\n"
-        );
-        assert!(lint_all(&src).is_empty(), "{:?}", lint_all(&src));
-    }
-
-    // ---- telemetry-hygiene ----
-
-    #[test]
-    fn telemetry_use_outside_gate_flagged() {
-        let src = format!("{PREAMBLE}use lcf_telemetry::Event;\n");
-        let f = lint_all(&src);
-        assert_eq!(rules_of(&f), [rules::TELEMETRY_HYGIENE]);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn telemetry_use_behind_item_gate_passes() {
-        let src = format!(
-            "{PREAMBLE}#[cfg(feature = \"telemetry\")]\nuse lcf_telemetry::Event;\n\
-             #[cfg(feature = \"telemetry\")]\nfn probe(e: lcf_telemetry::Event) {{}}\n"
-        );
-        assert!(lint_all(&src).is_empty(), "{:?}", lint_all(&src));
-    }
-
-    #[test]
-    fn telemetry_use_behind_statement_gate_passes() {
-        let src = format!(
-            "{PREAMBLE}fn f(&mut self) {{\n\
-             #[cfg(feature = \"telemetry\")]\n\
-             {{ self.events.push(lcf_telemetry::Event::Grant); }}\n\
-             }}\n"
-        );
-        assert!(lint_all(&src).is_empty(), "{:?}", lint_all(&src));
-    }
-
-    #[test]
-    fn telemetry_use_behind_not_gate_flagged() {
-        let src =
-            format!("{PREAMBLE}#[cfg(not(feature = \"telemetry\"))]\nuse lcf_telemetry::Stub;\n");
-        assert_eq!(rules_of(&lint_all(&src)), [rules::TELEMETRY_HYGIENE]);
-    }
-
-    #[test]
-    fn telemetry_use_in_tests_passes() {
-        let src = format!("{PREAMBLE}#[cfg(test)]\nmod tests {{ use lcf_telemetry::Event; }}\n");
-        assert!(lint_all(&src).is_empty(), "{:?}", lint_all(&src));
-    }
-
-    #[test]
-    fn telemetry_gated_trait_method_param_passes() {
-        // The `drain_events` idiom: a telemetry-gated default trait method
-        // whose signature mentions lcf_telemetry.
-        let src = format!(
-            "{PREAMBLE}trait Scheduler {{\n\
-             #[cfg(feature = \"telemetry\")]\n\
-             fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {{}}\n\
              }}\n"
         );
         assert!(lint_all(&src).is_empty(), "{:?}", lint_all(&src));

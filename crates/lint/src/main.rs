@@ -15,9 +15,8 @@
 //! Workspace mode parses every file first, then lints **per crate**, so
 //! the call-graph `hot-path-alloc` rule can follow `schedule_into` →
 //! helper calls across sibling modules. Parent-file `mod` declarations
-//! are honored: a module declared behind `#[cfg(feature = "telemetry")]`
-//! (like `core/src/telemetry.rs`) is exempt from `telemetry-hygiene`,
-//! and a module declared behind `#[cfg(test)]` is skipped entirely.
+//! are honored: a module declared behind `#[cfg(test)]` is skipped
+//! entirely.
 
 #![forbid(unsafe_code)]
 
@@ -30,18 +29,13 @@ use std::path::{Path, PathBuf};
 /// tagged/gated constructs that must NOT fire.
 const SELF_TEST_FIXTURE: &str = include_str!("../fixtures/seeded.rs");
 
-/// Directories never linted: build output, VCS metadata, stored baselines,
-/// and test-only trees (tests/, benches/, examples/, fixtures/ — the rules
-/// target library and binary code).
-const SKIP_DIRS: [&str; 7] = [
-    "target",
-    ".git",
-    ".bench-baseline",
-    "fixtures",
-    "tests",
-    "benches",
-    "examples",
-];
+/// Findings the seeded fixture must produce, all rules together.
+const SELF_TEST_FINDINGS: usize = 12;
+
+/// Directories never linted: build output, VCS metadata, and test-only
+/// trees (tests/, benches/, examples/, fixtures/ — the rules target
+/// library and binary code).
+const SKIP_DIRS: [&str; 6] = ["target", ".git", "fixtures", "tests", "benches", "examples"];
 
 /// Output format for findings.
 #[derive(Clone, Copy, PartialEq)]
@@ -115,10 +109,9 @@ fn lint_workspace(format: Format) -> i32 {
         }
     }
 
-    // Honor cfg gates on parent-file `mod` declarations: a child file whose
-    // declaration is telemetry-gated may use lcf_telemetry freely; one whose
-    // declaration is test-gated is test-only code and skipped entirely.
-    let mut telemetry_gated: Vec<String> = Vec::new();
+    // Honor test gates on parent-file `mod` declarations: a child file
+    // whose declaration is test-gated is test-only code and skipped
+    // entirely.
     let mut test_gated: Vec<String> = Vec::new();
     for (sf, _) in &parsed {
         let dir = match sf.label.rsplit_once('/') {
@@ -138,9 +131,6 @@ fn lint_workspace(format: Format) -> i32 {
                 format!("{dir}/{}.rs", m.name),
                 format!("{dir}/{}/mod.rs", m.name),
             ] {
-                if m.gates.telemetry {
-                    telemetry_gated.push(child.clone());
-                }
                 if m.gates.test {
                     test_gated.push(child);
                 }
@@ -148,11 +138,6 @@ fn lint_workspace(format: Format) -> i32 {
         }
     }
     parsed.retain(|(sf, _)| !test_gated.contains(&sf.label));
-    for (sf, ruleset) in &mut parsed {
-        if telemetry_gated.contains(&sf.label) {
-            ruleset.telemetry_hygiene = false;
-        }
-    }
 
     // Lint per crate so the call-graph pass sees each crate whole.
     let mut groups: BTreeMap<String, Vec<(SourceFile, RuleSet)>> = BTreeMap::new();
@@ -225,9 +210,10 @@ fn report(checked: usize, findings: &[Finding], format: Format) -> i32 {
 
 /// Verifies the analyzer against the embedded seeded fixture: every rule
 /// family must fire at least once, the call-graph rule must report the
-/// helper reached *from* a hot fn, each new rule family must fire exactly
-/// once (proving the tagged/gated negative cases are honored), and the
-/// allowlisted violations must not fire.
+/// helper reached *from* a hot fn, `rng-stream` must fire exactly once
+/// (proving the tagged negative case is honored), the allowlisted
+/// violations must not fire, and the total must match
+/// [`SELF_TEST_FINDINGS`].
 fn self_test() -> i32 {
     let findings = lint_source("fixtures/seeded.rs", SELF_TEST_FIXTURE, &RuleSet::all());
     let mut failures = Vec::new();
@@ -250,20 +236,28 @@ fn self_test() -> i32 {
             "call-graph hot-path-alloc did not reach the helper hidden behind a call".to_string(),
         );
     }
-    // Exactly one finding per new rule family: the seeded violation fires,
-    // the tagged fn / feature-gated use does not.
-    for rule in [rules::RNG_STREAM, rules::TELEMETRY_HYGIENE] {
-        let n = findings.iter().filter(|f| f.rule == rule).count();
-        if n != 1 {
-            failures.push(format!(
-                "rule `{rule}` fired {n} times on the fixture (expected exactly 1: \
-                 the seeded violation, with the negative case suppressed)"
-            ));
-        }
+    // Exactly one rng-stream finding: the seeded violation fires, the
+    // tagged fn does not.
+    let rng = findings
+        .iter()
+        .filter(|f| f.rule == rules::RNG_STREAM)
+        .count();
+    if rng != 1 {
+        failures.push(format!(
+            "rule `{}` fired {rng} times on the fixture (expected exactly 1: \
+             the seeded violation, with the tagged case suppressed)",
+            rules::RNG_STREAM
+        ));
+    }
+    if findings.len() != SELF_TEST_FINDINGS {
+        failures.push(format!(
+            "the fixture produced {} findings (expected {SELF_TEST_FINDINGS})",
+            findings.len()
+        ));
     }
     if failures.is_empty() {
         println!(
-            "lcf-lint self-test: ok ({} findings, all {} rules fired, tags and gates honored)",
+            "lcf-lint self-test: ok ({} findings, all {} rules fired, tags honored)",
             findings.len(),
             rules::ALL.len()
         );
@@ -302,9 +296,6 @@ fn self_test() -> i32 {
 ///   per-slot hot path.
 /// * `rng-stream` — the RNG crate and the sim traffic generators, which
 ///   own the frozen keystream contracts.
-/// * `telemetry-hygiene` — every crate that consumes `lcf_telemetry`
-///   behind the default-off feature: core, sim, clint, cli. (The
-///   telemetry crate itself defines the symbols.)
 fn scope_for(label: &str) -> RuleSet {
     let l = label.replace('\\', "/");
     let in_any = |prefixes: &[&str]| prefixes.iter().any(|p| l.starts_with(p));
@@ -334,12 +325,6 @@ fn scope_for(label: &str) -> RuleSet {
     let cast_scope = in_any(&["crates/core/", "crates/sim/", "crates/fabric/"]);
     let hot_scope = in_any(&["crates/core/", "crates/sim/"]);
     let rng_stream_scope = l.starts_with("crates/rng/") || l == "crates/sim/src/traffic.rs";
-    let telemetry_scope = in_any(&[
-        "crates/core/",
-        "crates/sim/",
-        "crates/clint/",
-        "crates/cli/",
-    ]);
     RuleSet {
         hash_collections: hash_scope,
         wall_clock: wall_scope,
@@ -348,7 +333,6 @@ fn scope_for(label: &str) -> RuleSet {
         forbid_unsafe: is_crate_root,
         hot_path_alloc: hot_scope,
         rng_stream: rng_stream_scope,
-        telemetry_hygiene: telemetry_scope,
     }
 }
 

@@ -5,14 +5,14 @@
 //!
 //! * every `fn` item with its name, signature line, body token span, and
 //!   the impl type that owns it (`impl Foo { fn bar }` → owner `Foo`);
-//! * the module tree's *cfg gates*: whether each item is (transitively)
-//!   behind `#[cfg(test)]`/`#[test]` or `#[cfg(feature = "telemetry")]`,
-//!   including statement-level gates inside fn bodies;
+//! * the module tree's *test gates*: whether each item is (transitively)
+//!   behind `#[cfg(test)]`/`#[test]`, including statement-level gates
+//!   inside fn bodies;
 //! * out-of-line `mod name;` declarations with their cfg gates, so a
 //!   crate-level caller can propagate a gate from `lib.rs` onto the
 //!   child file;
-//! * token spans of test-gated and telemetry-gated regions, which the
-//!   token-scanning rules use to skip or admit matches.
+//! * token spans of test-gated regions, which the token-scanning rules
+//!   skip.
 //!
 //! The parser is resilient by construction: it walks the token stream with
 //! balanced-delimiter tracking and treats anything it does not recognize
@@ -26,16 +26,12 @@ use crate::lex::{Spanned, Tok};
 pub struct Gates {
     /// Behind `#[test]` or a `test` cfg: skipped by every content rule.
     pub test: bool,
-    /// Behind `#[cfg(feature = "telemetry")]` (directly or via an
-    /// ancestor item).
-    pub telemetry: bool,
 }
 
 impl Gates {
     fn union(self, other: Gates) -> Gates {
         Gates {
             test: self.test || other.test,
-            telemetry: self.telemetry || other.telemetry,
         }
     }
 }
@@ -80,21 +76,12 @@ pub struct ParsedFile {
     pub mod_decls: Vec<ModDecl>,
     /// Token index spans (inclusive) of test-gated regions.
     pub test_spans: Vec<(usize, usize)>,
-    /// Token index spans (inclusive) of telemetry-gated regions.
-    pub telemetry_spans: Vec<(usize, usize)>,
 }
 
 impl ParsedFile {
     /// Whether the token at `idx` lies inside a test-gated region.
     pub fn in_test(&self, idx: usize) -> bool {
         self.test_spans.iter().any(|&(a, b)| a <= idx && idx <= b)
-    }
-
-    /// Whether the token at `idx` lies inside a telemetry-gated region.
-    pub fn in_telemetry_gate(&self, idx: usize) -> bool {
-        self.telemetry_spans
-            .iter()
-            .any(|&(a, b)| a <= idx && idx <= b)
     }
 }
 
@@ -139,21 +126,9 @@ impl Attr {
         }
     }
 
-    /// A `cfg(...)` that requires `feature = "telemetry"` positively.
-    fn is_telemetry_gate(&self) -> bool {
-        self.first_ident() == Some("cfg")
-            && self.contains_ident("feature")
-            && !self.contains_ident("not")
-            && self
-                .toks
-                .iter()
-                .any(|t| matches!(t, Tok::Str(s) if s == "telemetry"))
-    }
-
     fn gates(&self) -> Gates {
         Gates {
             test: self.is_test_gate(),
-            telemetry: self.is_telemetry_gate(),
         }
     }
 }
@@ -184,9 +159,6 @@ impl Parser<'_> {
     fn record_gate_spans(&mut self, own: Gates, inherited: Gates, span: (usize, usize)) {
         if own.test && !inherited.test {
             self.out.test_spans.push(span);
-        }
-        if own.telemetry && !inherited.telemetry {
-            self.out.telemetry_spans.push(span);
         }
     }
 
@@ -486,7 +458,7 @@ mod tests {
         let f = fn_named(&p, "f");
         assert!(f.body.is_some());
         assert_eq!(f.owner, None);
-        assert!(!f.gates.test && !f.gates.telemetry);
+        assert!(!f.gates.test);
     }
 
     #[test]
@@ -546,43 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_gate_on_fn_and_use() {
-        let src = "#[cfg(feature = \"telemetry\")]\nfn probe() {}\n\
-                   #[cfg(feature = \"telemetry\")]\nuse lcf_telemetry::Event;\n\
-                   fn cold() {}\n";
-        let p = parse_src(src);
-        assert!(fn_named(&p, "probe").gates.telemetry);
-        assert!(!fn_named(&p, "cold").gates.telemetry);
-        // The `use` statement's span is recorded even without an item keyword.
-        assert_eq!(p.telemetry_spans.len(), 2);
-    }
-
-    #[test]
-    fn telemetry_gate_on_statement_block() {
-        let src =
-            "fn f() {\n  let x = 1;\n  #[cfg(feature = \"telemetry\")]\n  { record(x); }\n}\n";
-        let p = parse_src(src);
-        assert_eq!(p.telemetry_spans.len(), 1);
-        let f = fn_named(&p, "f");
-        let (a, b) = p.telemetry_spans[0];
-        let (fa, fb) = f.body.unwrap();
-        assert!(fa < a && b < fb, "stmt gate nested inside the fn body");
-    }
-
-    #[test]
-    fn cfg_not_feature_is_not_a_telemetry_gate() {
-        let p = parse_src("#[cfg(not(feature = \"telemetry\"))]\nfn stub() {}\n");
-        assert!(!fn_named(&p, "stub").gates.telemetry);
-    }
-
-    #[test]
     fn mod_decls_carry_gates() {
-        let src = "#[cfg(feature = \"telemetry\")]\npub mod telemetry;\npub mod traits;\n";
+        let src = "#[cfg(test)]\nmod tests;\npub mod traits;\n";
         let p = parse_src(src);
         assert_eq!(p.mod_decls.len(), 2);
-        assert!(p.mod_decls[0].gates.telemetry);
-        assert_eq!(p.mod_decls[0].name, "telemetry");
-        assert!(!p.mod_decls[1].gates.telemetry);
+        assert!(p.mod_decls[0].gates.test);
+        assert_eq!(p.mod_decls[0].name, "tests");
+        assert!(!p.mod_decls[1].gates.test);
     }
 
     #[test]

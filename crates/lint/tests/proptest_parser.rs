@@ -36,7 +36,7 @@ fn soup_string(picks: &[usize]) -> String {
 const CORPUS: &str = r##"//! Module docs with `code` and "quotes".
 #![forbid(unsafe_code)]
 use std::time::Duration; // lint:allow(wall-clock): not actually a clock
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "extra")]
 pub mod probes;
 pub struct S<'a> { x: &'a [u8; 4] }
 impl<'a, F: FnMut() -> u32> Iterator for S<'a> {
@@ -90,15 +90,16 @@ proptest! {
         // Each entry plants one fn: `(container, gate, decoy)` where
         // container 0 = free fn, 1 = impl fn, 2 = trait default fn,
         // 3 = fn inside an inline mod; gate 0 = none, 1 = cfg(test),
-        // 2 = cfg(feature = "telemetry"); decoy 1 sprinkles a comment and
-        // a string mentioning `fn fake()` that must NOT be recovered.
+        // 2 = cfg(feature = "extra"), which is not a test gate; decoy 1
+        // sprinkles a comment and a string mentioning `fn fake()` that
+        // must NOT be recovered.
         let mut src = String::new();
-        let mut expected: Vec<(String, Option<String>, bool, bool)> = Vec::new();
+        let mut expected: Vec<(String, Option<String>, bool)> = Vec::new();
         for (k, &(container, gate, decoy)) in shape.iter().enumerate() {
             let name = format!("f{k}");
             let attr = match gate {
                 1 => "#[cfg(test)]\n",
-                2 => "#[cfg(feature = \"telemetry\")]\n",
+                2 => "#[cfg(feature = \"extra\")]\n",
                 _ => "",
             };
             if decoy == 1 {
@@ -122,14 +123,14 @@ proptest! {
             };
             src.push_str(&snippet);
             // For container 3 the gate sits on the mod and is inherited.
-            expected.push((name, owner, gate == 1, gate == 2));
+            expected.push((name, owner, gate == 1));
         }
         let (toks, _) = tokenize(&src);
         let parsed = parse(&toks);
-        let got: Vec<(String, Option<String>, bool, bool)> = parsed
+        let got: Vec<(String, Option<String>, bool)> = parsed
             .fns
             .iter()
-            .map(|f| (f.name.clone(), f.owner.clone(), f.gates.test, f.gates.telemetry))
+            .map(|f| (f.name.clone(), f.owner.clone(), f.gates.test))
             .collect();
         prop_assert_eq!(got, expected, "source was:\n{}", src);
     }

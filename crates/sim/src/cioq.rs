@@ -18,14 +18,12 @@
 use crate::packet::Packet;
 use crate::queues::{BoundedFifo, VoqSet};
 use crate::stats::SimStats;
-#[cfg(feature = "telemetry")]
 use crate::switch::SwitchTelemetry;
 use crate::traffic::Traffic;
 use lcf_core::matching::Matching;
 use lcf_core::request::RequestMatrix;
 use lcf_core::traits::Scheduler;
-#[cfg(feature = "telemetry")]
-use lcf_telemetry::{Event, MetricsRegistry, SlotClock, TraceBuffer};
+use lcf_telemetry::{MetricsRegistry, SlotClock, TraceBuffer};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 
@@ -58,7 +56,6 @@ pub struct CioqSwitch {
     free_batches: Vec<Vec<Matching>>,
     /// Per-slot arrival batch, reused across slots.
     arrivals: Vec<Option<usize>>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -104,7 +101,6 @@ impl CioqSwitch {
                 .map(|_| Vec::with_capacity(speedup))
                 .collect(),
             arrivals: vec![None; n],
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -158,6 +154,10 @@ impl CioqSwitch {
             // lint:allow(hot-path-alloc): free is pre-sized to (sched_latency+1)*speedup at construction and recycled every slot, so this fallback is unreachable
             let mut m = self.free.pop().unwrap_or_else(|| Matching::new(n));
             self.scheduler.schedule_into(&self.requests, &mut m);
+            // Every speedup pass's decision events enter the trace.
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.record_scheduler_events(self.scheduler.as_mut());
+            }
             for (i, j) in m.pairs() {
                 self.in_flight[i * n + j] += 1;
             }
@@ -169,7 +169,6 @@ impl CioqSwitch {
     /// Starts recording telemetry: scheduler decision traces plus slot-loop
     /// metrics, into a trace buffer of `trace_capacity` events (0 =
     /// unbounded).
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         self.scheduler.set_tracing(true);
         self.telemetry = Some(Box::new(SwitchTelemetry {
@@ -180,22 +179,9 @@ impl CioqSwitch {
     }
 
     /// Stops recording and hands back the collected telemetry.
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         self.scheduler.set_tracing(false);
         self.telemetry.take()
-    }
-
-    /// The live telemetry state, if enabled.
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        self.telemetry.as_deref_mut()
-    }
-
-    /// Drains the scheduler's queued decision events into `sink`.
-    #[cfg(feature = "telemetry")]
-    pub fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(Event)) {
-        self.scheduler.drain_events(sink);
     }
 
     /// Advances one slot.
@@ -207,7 +193,6 @@ impl CioqSwitch {
         stats: &mut SimStats,
     ) {
         let n = self.n;
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.clock.seek(slot);
         }
@@ -278,10 +263,7 @@ impl CioqSwitch {
                 delivered += 1;
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = delivered;
 
-        #[cfg(feature = "telemetry")]
         if self.telemetry.is_some() {
             let buffered = self.buffered_packets() as f64;
             // lint:allow(no-panic): is_some checked just above

@@ -13,20 +13,19 @@
 //!                 ┌───────────────────────────────┐
 //!                 │  drive(model, traffic, rng)   │
 //!                 │  warm-up ──► measure ──► stats│
-//!                 └──────┬─────────────┬──────────┘
-//!                        │ step()      │ drain + re-stamp events
-//!        ┌───────────────┼─────────────┼───────────────┐
+//!                 └──────┬────────────────────────┘
+//!                        │ step()
+//!        ┌───────────────┼─────────────────────────────┐
 //!        ▼               ▼             ▼               ▼
 //!  CrossbarSwitch   CioqSwitch     ObSwitch      (future models)
 //!  (IqSwitch)       speedup s,     no scheduler
 //!  VOQ / FIFO       pipeline L
 //! ```
 //!
-//! Telemetry flows one way: [`drive`] drains each model's scheduler events
-//! after every step, re-stamps them with the model's slot clock and pushes
-//! them into the model's trace buffer. Models therefore never re-stamp
-//! events themselves — a traced CIOQ or output-buffered path cannot forget
-//! the stamping, because it never does it.
+//! Telemetry stays inside the model: a model with a scheduler drains its
+//! decision events right after scheduling, under the same per-slot
+//! telemetry probe as its other events, and re-stamps them with its slot
+//! clock. An untraced slot therefore makes no telemetry call at all.
 //!
 //! [`IqSwitch`]: crate::switch::IqSwitch
 //! [`CrossbarSwitch`]: crate::switch::CrossbarSwitch
@@ -36,9 +35,7 @@
 use crate::cioq::CioqSwitch;
 use crate::outbuf::ObSwitch;
 use crate::stats::SimStats;
-use crate::switch::IqSwitch;
-#[cfg(feature = "telemetry")]
-use crate::switch::SwitchTelemetry;
+use crate::switch::{IqSwitch, SwitchTelemetry};
 use crate::traffic::Traffic;
 use rand::rngs::StdRng;
 
@@ -74,27 +71,13 @@ pub trait SwitchModel {
     /// Starts recording telemetry into a trace buffer of `trace_capacity`
     /// events (0 = unbounded). Default: ignored — models without telemetry
     /// record nothing.
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, _trace_capacity: usize) {}
 
     /// Stops recording and hands back the collected telemetry (None if
     /// telemetry was never enabled or the model has none).
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         None
     }
-
-    /// The live telemetry state, if enabled. [`drive`] uses this to re-stamp
-    /// drained scheduler events with the model's slot clock.
-    #[cfg(feature = "telemetry")]
-    fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        None
-    }
-
-    /// Drains the underlying scheduler's decision events (stamped slot 0 —
-    /// schedulers have no time base) into `sink`. Default: no events.
-    #[cfg(feature = "telemetry")]
-    fn drain_scheduler_events(&mut self, _sink: &mut dyn FnMut(lcf_telemetry::Event)) {}
 
     /// Replaces the scheduler driving the model (online reconfiguration
     /// between serve windows). Queue contents are preserved; the queueing
@@ -137,24 +120,12 @@ impl<M: SwitchModel + ?Sized> SwitchModel for &mut M {
         (**self).buffered_packets()
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         (**self).enable_telemetry(trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         (**self).take_telemetry()
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        (**self).telemetry_mut()
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        (**self).drain_scheduler_events(sink);
     }
 
     fn swap_scheduler(
@@ -191,24 +162,12 @@ impl<M: SwitchModel + ?Sized> SwitchModel for Box<M> {
         (**self).buffered_packets()
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         (**self).enable_telemetry(trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         (**self).take_telemetry()
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        (**self).telemetry_mut()
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        (**self).drain_scheduler_events(sink);
     }
 
     fn swap_scheduler(
@@ -230,8 +189,7 @@ pub struct DriveOptions {
     /// Upper bound of the latency histogram in slots.
     pub max_latency_bucket: usize,
     /// `Some(cap)` enables telemetry for the measurement window with a trace
-    /// buffer of `cap` events (0 = unbounded). Ignored when the `telemetry`
-    /// feature is off.
+    /// buffer of `cap` events (0 = unbounded).
     pub trace_capacity: Option<usize>,
 }
 
@@ -266,9 +224,7 @@ impl DriveOptions {
 /// 3. **Measure** — `measure_slots` steps into a fresh [`SimStats`] whose
 ///    latency samples only come from packets generated inside the window.
 ///
-/// After every step the model's scheduler events are drained, re-stamped
-/// with the current slot and appended to the model's trace (telemetry
-/// builds only). Collect the trace afterwards with
+/// Collect the trace of a traced run afterwards with
 /// [`SwitchModel::take_telemetry`].
 ///
 /// Returns the measurement-window statistics.
@@ -278,40 +234,15 @@ pub fn drive(
     rng: &mut StdRng,
     opts: &DriveOptions,
 ) -> SimStats {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = opts.trace_capacity;
-
     let mut session =
         crate::session::DriveSession::new(model, traffic, rng, opts.max_latency_bucket);
     session.step_window(opts.warmup_slots);
-    #[cfg(feature = "telemetry")]
     if let Some(cap) = opts.trace_capacity {
         session.enable_telemetry(cap);
     }
     session.begin_measurement();
     session.step_window(opts.measure_slots);
     session.into_stats()
-}
-
-/// Moves the scheduler's decision events into the model's trace, re-stamped
-/// with the model's slot clock. The scratch buffer is owned by the
-/// [`DriveSession`](crate::session::DriveSession) and reused across slots;
-/// schedulers record events only while tracing, so this is a no-op for
-/// untraced runs.
-#[cfg(feature = "telemetry")]
-pub(crate) fn relay_scheduler_events(
-    model: &mut dyn SwitchModel,
-    scratch: &mut Vec<lcf_telemetry::Event>,
-) {
-    model.drain_scheduler_events(&mut |e| scratch.push(e));
-    if let Some(t) = model.telemetry_mut() {
-        for mut e in scratch.drain(..) {
-            e.slot = t.clock.slot();
-            t.trace.push(e);
-        }
-    } else {
-        scratch.clear();
-    }
 }
 
 impl SwitchModel for IqSwitch {
@@ -337,24 +268,12 @@ impl SwitchModel for IqSwitch {
         IqSwitch::buffered_packets(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         IqSwitch::enable_telemetry(self, trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         IqSwitch::take_telemetry(self)
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        IqSwitch::telemetry_mut(self)
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        IqSwitch::drain_scheduler_events(self, sink);
     }
 
     fn swap_scheduler(
@@ -388,24 +307,12 @@ impl SwitchModel for CioqSwitch {
         CioqSwitch::buffered_packets(self)
     }
 
-    #[cfg(feature = "telemetry")]
     fn enable_telemetry(&mut self, trace_capacity: usize) {
         CioqSwitch::enable_telemetry(self, trace_capacity);
     }
 
-    #[cfg(feature = "telemetry")]
     fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         CioqSwitch::take_telemetry(self)
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        CioqSwitch::telemetry_mut(self)
-    }
-
-    #[cfg(feature = "telemetry")]
-    fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        CioqSwitch::drain_scheduler_events(self, sink);
     }
 }
 

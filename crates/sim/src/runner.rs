@@ -237,7 +237,6 @@ fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) 
 ///
 /// # Panics
 /// Panics if the configuration fails [`SimConfig::validate`].
-#[cfg(feature = "telemetry")]
 pub fn run_sim_traced(
     cfg: &SimConfig,
     trace_capacity: usize,
@@ -362,7 +361,6 @@ where
 /// Same-name histograms from configs with *different* port counts cannot be
 /// merged (their value ranges differ); those keep the first run's shape and
 /// the conflict count is surfaced as `sweep.histogram_range_mismatches`.
-#[cfg(feature = "telemetry")]
 #[allow(clippy::type_complexity)]
 pub fn try_sweep_traced(
     configs: &[SimConfig],

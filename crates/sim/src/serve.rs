@@ -46,7 +46,6 @@ use crate::session::{DrainReport, DriveSession, WindowReport};
 use crate::traffic::Silence;
 use lcf_core::bitkern::Backend;
 use lcf_core::registry::SchedulerKind;
-// lint:allow(telemetry-hygiene): the registry/JSON types are plain mergeable data structures; serve snapshots are emitted unconditionally, independent of per-slot trace telemetry
 use lcf_telemetry::{json::Value, MetricsRegistry};
 use rand::SeedableRng;
 use std::collections::BTreeMap;

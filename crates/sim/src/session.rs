@@ -102,8 +102,6 @@ pub struct DriveSession<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> {
     next_slot: u64,
     max_latency_bucket: usize,
     occupancy: Option<OccupancySampler>,
-    #[cfg(feature = "telemetry")]
-    scratch: Vec<lcf_telemetry::Event>,
 }
 
 impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
@@ -121,8 +119,6 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
             next_slot: 0,
             max_latency_bucket,
             occupancy: None,
-            #[cfg(feature = "telemetry")]
-            scratch: Vec::new(),
         }
     }
 
@@ -197,7 +193,6 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
 
     /// Enables telemetry on the model with a trace buffer of
     /// `trace_capacity` events (0 = unbounded).
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         self.model.enable_telemetry(trace_capacity);
     }
@@ -267,8 +262,7 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
         }
     }
 
-    /// One slot: model step plus the scheduler-event relay (telemetry
-    /// builds only).
+    /// One slot of the model.
     fn step_one(&mut self, slot: u64) {
         self.model.step(
             slot,
@@ -276,8 +270,6 @@ impl<M: SwitchModel, T: Traffic, R: BorrowMut<StdRng>> DriveSession<M, T, R> {
             self.rng.borrow_mut(),
             &mut self.stats,
         );
-        #[cfg(feature = "telemetry")]
-        crate::model::relay_scheduler_events(&mut self.model, &mut self.scratch);
     }
 
     /// Graceful drain: swaps in `quiet` (a generator that produces no

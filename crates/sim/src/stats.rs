@@ -4,8 +4,6 @@
 //! overflow-explicit and mergeable — re-exported here so existing call
 //! sites keep working.
 
-// Only the event/metrics machinery is feature-gated; hist is not.
-// lint:allow(telemetry-hygiene): hist is a plain mergeable data structure used unconditionally by SimReport
 pub use lcf_telemetry::hist::{CdfPoint, Histogram, Quantile, RangeMismatch};
 
 /// Streaming mean/variance accumulator (Welford's algorithm).

@@ -8,7 +8,6 @@ use lcf_core::matching::Matching;
 use lcf_core::request::RequestMatrix;
 use lcf_core::traits::Scheduler;
 use lcf_core::weighted::{WeightMatrix, WeightedScheduler};
-#[cfg(feature = "telemetry")]
 use lcf_telemetry::{Event, MetricsRegistry, SlotClock, TraceBuffer};
 use rand::rngs::StdRng;
 
@@ -20,7 +19,6 @@ use rand::rngs::StdRng;
 /// Everything here is derived from the simulation state, never fed back
 /// into it — enabling telemetry cannot change a schedule (the equivalence
 /// test in `tests/telemetry_equiv.rs` holds the simulator to that).
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Default)]
 pub struct SwitchTelemetry {
     /// Decision/event trace (ring buffer; oldest events evicted when full).
@@ -29,6 +27,19 @@ pub struct SwitchTelemetry {
     pub metrics: MetricsRegistry,
     /// The time base every event is stamped from.
     pub clock: SlotClock,
+}
+
+impl SwitchTelemetry {
+    /// Moves the scheduler's decision events (stamped slot 0 — schedulers
+    /// have no time base) into the trace, re-stamped with the slot clock.
+    pub(crate) fn record_scheduler_events(&mut self, scheduler: &mut dyn Scheduler) {
+        let slot = self.clock.slot();
+        let trace = &mut self.trace;
+        scheduler.drain_events(&mut |mut e| {
+            e.slot = slot;
+            trace.push(e);
+        });
+    }
 }
 
 /// Input buffering discipline.
@@ -113,7 +124,6 @@ pub struct IqSwitch {
     /// Per-slot arrival batch, reused across slots (hot-path memory
     /// contract: no per-slot allocation).
     arrivals: Vec<Option<usize>>,
-    #[cfg(feature = "telemetry")]
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -180,7 +190,6 @@ impl IqSwitch {
             requests: RequestMatrix::new(n),
             last_matching: Matching::new(n),
             arrivals: vec![None; n],
-            #[cfg(feature = "telemetry")]
             telemetry: None,
         }
     }
@@ -188,7 +197,6 @@ impl IqSwitch {
     /// Starts recording telemetry: decision traces from the scheduler plus
     /// slot-loop metrics, into a trace buffer of `trace_capacity` events
     /// (0 = unbounded). Also turns on the scheduler's own tracing hook.
-    #[cfg(feature = "telemetry")]
     pub fn enable_telemetry(&mut self, trace_capacity: usize) {
         if let Engine::Boolean(s) = &mut self.engine {
             s.set_tracing(true);
@@ -202,7 +210,6 @@ impl IqSwitch {
 
     /// Stops recording and hands the collected telemetry back (None if
     /// telemetry was never enabled).
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
         if let Engine::Boolean(s) = &mut self.engine {
             s.set_tracing(false);
@@ -211,26 +218,8 @@ impl IqSwitch {
     }
 
     /// The telemetry collected so far, if enabled.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> Option<&SwitchTelemetry> {
         self.telemetry.as_deref()
-    }
-
-    /// Mutable access to the live telemetry state, if enabled. The shared
-    /// `drive()` loop uses this to re-stamp drained scheduler events with
-    /// the slot clock.
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry_mut(&mut self) -> Option<&mut SwitchTelemetry> {
-        self.telemetry.as_deref_mut()
-    }
-
-    /// Drains the scheduler's decision events (stamped slot 0) into `sink`.
-    /// Weighted engines record no events.
-    #[cfg(feature = "telemetry")]
-    pub fn drain_scheduler_events(&mut self, sink: &mut dyn FnMut(Event)) {
-        if let Engine::Boolean(s) = &mut self.engine {
-            s.drain_events(sink);
-        }
     }
 
     /// Replaces the boolean scheduler driving the switch (online
@@ -257,13 +246,8 @@ impl IqSwitch {
         match &mut self.engine {
             Engine::Boolean(current) => {
                 // A live trace must keep flowing through the new engine.
-                #[cfg(feature = "telemetry")]
-                {
-                    let mut scheduler = scheduler;
-                    scheduler.set_tracing(self.telemetry.is_some());
-                    return Ok(std::mem::replace(current, scheduler));
-                }
-                #[cfg(not(feature = "telemetry"))]
+                let mut scheduler = scheduler;
+                scheduler.set_tracing(self.telemetry.is_some());
                 Ok(std::mem::replace(current, scheduler))
             }
             Engine::Weighted { .. } => Err("cannot swap a weighted engine".to_string()),
@@ -343,13 +327,10 @@ impl IqSwitch {
         stats: &mut SimStats,
     ) -> &Matching {
         let n = self.n;
-        // One telemetry probe for the whole arrival stage (per-slot-branch
-        // contract): the `Option` is resolved here once; the per-input loop
-        // below never re-probes it. In non-telemetry builds this compiles
-        // away entirely.
-        #[cfg(feature = "telemetry")]
+        // One telemetry probe for the whole slot (per-slot-branch contract):
+        // the `Option` is resolved here once; the per-input loop below never
+        // re-probes it.
         let mut tel = self.telemetry.as_deref_mut();
-        #[cfg(feature = "telemetry")]
         if let Some(t) = tel.as_deref_mut() {
             t.clock.seek(slot);
         }
@@ -366,7 +347,6 @@ impl IqSwitch {
             if !self.pqs[input].push(Packet::new(input, dst, slot)) {
                 dropped += 1;
                 stats.on_drop_pq();
-                #[cfg(feature = "telemetry")]
                 if let Some(t) = tel.as_deref_mut() {
                     t.trace.push(
                         Event::new(t.clock.slot(), "drop_pq")
@@ -376,12 +356,9 @@ impl IqSwitch {
                 }
             }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (generated, dropped);
         // Counter totals are identical to the old per-arrival increments;
         // the lazily created counters also keep their "only exists if it
         // ever fired" semantics via the > 0 guards.
-        #[cfg(feature = "telemetry")]
         if let Some(t) = tel.as_deref_mut() {
             if generated > 0 {
                 t.metrics.counter_add("sim.generated", generated);
@@ -460,9 +437,10 @@ impl IqSwitch {
                 }
                 #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
                 debug_assert!(self.last_matching.is_valid_for(&self.requests));
-                // Scheduler decision events stay queued in the scheduler;
-                // the shared `drive()` loop drains and re-stamps them after
-                // this step returns.
+                // Decision events enter the trace after this slot's drops.
+                if let Some(t) = tel {
+                    t.record_scheduler_events(scheduler.as_mut());
+                }
             }
             Engine::Weighted {
                 sched,
@@ -515,7 +493,6 @@ impl IqSwitch {
         // Per-slot occupancy and matching metrics. Histogram ranges cover
         // every reachable value (n matches per slot, n*n non-empty VOQs) so
         // the distributions never overflow.
-        #[cfg(feature = "telemetry")]
         if self.telemetry.is_some() {
             let matched = self.last_matching.size();
             let buffered = self.buffered_packets() as f64;

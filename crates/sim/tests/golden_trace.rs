@@ -10,10 +10,8 @@
 //! or stream break. To re-bless deliberately:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p lcf-sim --features telemetry --test golden_trace
+//! UPDATE_GOLDEN=1 cargo test -p lcf-sim --test golden_trace
 //! ```
-
-#![cfg(feature = "telemetry")]
 
 use lcf_core::registry::SchedulerKind;
 use lcf_sim::config::{ModelKind, SimConfig};
@@ -100,7 +98,7 @@ fn golden_trace_is_wellformed_jsonl() {
 }
 
 /// Scheduler events are recorded with slot 0 (schedulers have no time base)
-/// and re-stamped by the shared `drive()` loop. If the re-stamping were ever
+/// and re-stamped by the switch model's step. If the re-stamping were ever
 /// lost, every event would carry a slot below the warm-up boundary — so pin
 /// that each fixture line lands inside the measurement window.
 #[test]

@@ -74,7 +74,6 @@ fn windowed_stepping_matches_one_shot_drive() {
 /// Same equivalence with telemetry enabled: the decision trace and metrics
 /// registry are byte-identical whether the measurement ran as one window or
 /// many.
-#[cfg(feature = "telemetry")]
 #[test]
 fn windowed_stepping_matches_one_shot_trace() {
     let (mut model, mut traffic, mut rng) = build(SchedulerKind::LcfCentralRr, Backend::Bitset, 7);

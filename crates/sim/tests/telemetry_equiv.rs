@@ -4,13 +4,9 @@
 //! These tests run the same configuration traced and untraced and compare
 //! the [`SimReport`]s field for field (`SimReport: PartialEq` exists for
 //! exactly this), across scalar and bitset kernel backends and across every
-//! scheduler family that has a tracing hook. Together with the CI feature
-//! matrix (which runs the golden-count tests with the `telemetry` feature
-//! both off and on), this pins the contract from both sides: the feature
-//! compiles to no-ops when disabled, and is inert when enabled but not
-//! exported.
-
-#![cfg(feature = "telemetry")]
+//! scheduler family that has a tracing hook. Traced schedulers run the
+//! kernel they were configured with, so this holds by construction; the
+//! tests keep it that way.
 
 use lcf_core::bitkern::Backend;
 use lcf_core::registry::SchedulerKind;

@@ -19,8 +19,8 @@
 //!
 //! The crate is dependency-free; JSON is written by the in-tree
 //! [`json::Value`] writer. Everything here is plain data — no global state,
-//! no I/O — so instrumented code stays easy to reason about and trivially
-//! compiles out when the consumer's `telemetry` feature is off.
+//! no I/O — so instrumented code stays easy to reason about, and an
+//! untraced consumer pays for nothing but its `Option` check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
