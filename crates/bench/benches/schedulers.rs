@@ -70,6 +70,8 @@ fn bench_kernels(c: &mut Criterion) {
     let kinds = [
         SchedulerKind::LcfCentral,
         SchedulerKind::LcfCentralRr,
+        SchedulerKind::LcfDist,
+        SchedulerKind::LcfDistRr,
         SchedulerKind::Pim,
         SchedulerKind::Islip,
         SchedulerKind::Wavefront,

@@ -17,16 +17,22 @@
 //! fast never slower than legacy) and then re-measures the fast-vs-reference
 //! ratio live with a cruder timer and a wider margin.
 //!
+//! The distributed LCF kernel check works the same way: the committed
+//! `kernel_scalar/lcf_dist_rr/32` and `kernel_bitset/lcf_dist_rr/32`
+//! medians come from one criterion run, so their ratio must clear a
+//! committed floor, and a live re-measurement must clear a wider one.
+//!
 //! ```text
 //! cargo run --release -p lcf-bench --bin bench_guard
 //! ```
 //!
 //! Exits non-zero iff any measured median exceeds `TOLERANCE x` baseline or
-//! any `sim_heavy` ratio check fails.
+//! any `sim_heavy` or distributed-kernel ratio check fails.
 
 #![forbid(unsafe_code)]
 
 use lcf_core::bitkern::Backend;
+use lcf_core::matching::Matching;
 use lcf_core::registry::SchedulerKind;
 use lcf_core::request::RequestMatrix;
 use rand::rngs::StdRng;
@@ -41,10 +47,11 @@ use std::time::Instant;
 /// accidental order-of-magnitude slowdown, not percent-level drift.
 const TOLERANCE: f64 = 8.0;
 
-/// Calls per timing sample; large enough that one sample is ~1 ms.
+/// Calls per timing sample: ~1 ms for central LCF at n = 16, ~0.15 s for
+/// the scalar distributed LCF kernel at n = 32.
 const CALLS_PER_SAMPLE: usize = 2_000;
 
-/// Timing samples per density; the median of these is compared.
+/// Timing samples per measurement; the median of these is compared.
 const SAMPLES: usize = 21;
 
 fn main() {
@@ -70,7 +77,8 @@ fn main() {
             failures += 1;
             continue;
         };
-        let measured_ns = measure_lcf_central(16, density);
+        let measured_ns =
+            measure_schedule(SchedulerKind::LcfCentral, 16, density, Backend::default());
         let limit = baseline_ns * TOLERANCE;
         let verdict = if measured_ns <= limit { "ok" } else { "FAIL" };
         println!(
@@ -83,6 +91,7 @@ fn main() {
     }
 
     failures += check_sim_heavy(&baseline);
+    failures += check_dist_kernel(&baseline);
 
     if failures > 0 {
         eprintln!("bench_guard: {failures} check(s) failed");
@@ -206,32 +215,90 @@ fn measure_heavy_slot(backend: Backend, fast_traffic: bool) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Median ns per `schedule()` call for central LCF at the given density,
-/// mirroring the pool setup of the `schedule_n16` criterion group.
-fn measure_lcf_central(n: usize, density: f64) -> f64 {
+/// Committed scalar-vs-bitset speedup floor for the distributed LCF kernel
+/// (`lcf_dist_rr`, n = 32, density 0.5); both medians come from one
+/// criterion run, so the ratio is machine-independent.
+const DIST_RATIO_BASELINE: f64 = 10.0;
+
+/// Live re-measurement floor for the same ratio, wider for noisy machines.
+/// A bitset kernel that has fallen back to per-bit probes fails it.
+const DIST_RATIO_LIVE: f64 = 5.0;
+
+/// Distributed LCF kernel guards (the `kernel_*` criterion groups): the
+/// committed scalar/bitset ratio plus a live re-measurement.
+fn check_dist_kernel(baseline: &str) -> usize {
+    let id = |backend: Backend| format!("kernel_{backend}/lcf_dist_rr/32");
+    let mut entries = [0.0f64; 2];
+    for (slot, backend) in entries.iter_mut().zip([Backend::Scalar, Backend::Bitset]) {
+        match ns_median_for(baseline, &id(backend)) {
+            Some(ns) => *slot = ns,
+            None => {
+                eprintln!(
+                    "bench_guard: baseline entry `{}` not found in BENCH_schedulers.json",
+                    id(backend)
+                );
+                return 1;
+            }
+        }
+    }
+    let [scalar_ns, bitset_ns] = entries;
+    let mut failures = 0usize;
+
+    let committed_ratio = scalar_ns / bitset_ns;
+    let verdict = if committed_ratio >= DIST_RATIO_BASELINE {
+        "ok"
+    } else {
+        failures += 1;
+        "FAIL"
+    };
+    println!(
+        "bench_guard: lcf_dist_rr/32 committed bitset speedup {committed_ratio:.2}x over scalar \
+         (floor {DIST_RATIO_BASELINE}x)  {verdict}"
+    );
+
+    let live_scalar = measure_schedule(SchedulerKind::LcfDistRr, 32, 0.5, Backend::Scalar);
+    let live_bitset = measure_schedule(SchedulerKind::LcfDistRr, 32, 0.5, Backend::Bitset);
+    let live_ratio = live_scalar / live_bitset;
+    let verdict = if live_ratio >= DIST_RATIO_LIVE {
+        "ok"
+    } else {
+        failures += 1;
+        "FAIL"
+    };
+    println!(
+        "bench_guard: lcf_dist_rr/32 live scalar {live_scalar:8.1} ns  bitset \
+         {live_bitset:8.1} ns  ratio {live_ratio:.2}x (floor {DIST_RATIO_LIVE}x)  {verdict}"
+    );
+    failures
+}
+
+/// Median ns per `schedule_into` call of `kind` at port count `n` on the
+/// given backend, mirroring the pool setup of the `schedule_n16` and
+/// `kernel_*` criterion groups (64 random matrices at `density`, 4
+/// iterations).
+fn measure_schedule(kind: SchedulerKind, n: usize, density: f64, backend: Backend) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
     let pool: Vec<RequestMatrix> = (0..64)
         .map(|_| RequestMatrix::random(n, density, &mut rng))
         .collect();
-    let mut sched = SchedulerKind::LcfCentral.build(n, 4, 11);
+    let mut sched = kind.build_with_backend(n, 4, 11, backend).0;
+    let mut out = Matching::new(n);
+    let mut idx = 0usize;
+    let mut run = || {
+        for _ in 0..CALLS_PER_SAMPLE {
+            sched.schedule_into(&pool[idx % pool.len()], &mut out);
+            std::hint::black_box(out.size());
+            idx += 1;
+        }
+    };
 
     // Warm caches and branch predictors before sampling.
-    let mut idx = 0usize;
-    for _ in 0..CALLS_PER_SAMPLE {
-        let m = sched.schedule(&pool[idx % pool.len()]);
-        std::hint::black_box(m.size());
-        idx += 1;
-    }
-
+    run();
     let mut samples: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             // lint:allow(wall-clock): timing the scheduler calls is the measurement
             let start = Instant::now();
-            for _ in 0..CALLS_PER_SAMPLE {
-                let m = sched.schedule(&pool[idx % pool.len()]);
-                std::hint::black_box(m.size());
-                idx += 1;
-            }
+            run();
             start.elapsed().as_nanos() as f64 / CALLS_PER_SAMPLE as f64
         })
         .collect();

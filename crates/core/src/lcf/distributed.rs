@@ -1,6 +1,7 @@
 //! The distributed LCF scheduler — the iterative algorithm of Sec. 5.
 
 use crate::arbiter::{min_rotating, DiagonalPointer};
+use crate::bitkern::{self, Backend};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::telemetry::IterationTrace;
@@ -33,19 +34,32 @@ pub struct DistributedLcf {
     n: usize,
     iterations: usize,
     round_robin: bool,
+    backend: Backend,
     pointer: DiagonalPointer,
-    /// Per-target tie-break offset over requesters. Initialized staggered
-    /// (target `j` starts at requester `j`) and rotated by one every cycle —
-    /// the software analogue of the hardware's rotating PRIO shift registers.
-    /// The stagger keeps equal-priority targets from all granting the same
-    /// requester (which would serialize the iterations on symmetric loads).
-    grant_tb: Vec<usize>,
-    /// Per-initiator tie-break offset over targets, same scheme.
-    accept_tb: Vec<usize>,
-    // Scratch buffers reused across slots.
+    /// Tie-break rotation: port `k`'s rotating chain (target `k` over
+    /// requesters in the grant step, initiator `k` over targets in the
+    /// accept step) starts at `(k + rotation) mod n`. Advanced by one every
+    /// cycle — the software analogue of the hardware's rotating PRIO shift
+    /// registers. The stagger by `k` keeps equal-priority targets from all
+    /// granting the same requester (which would serialize the iterations on
+    /// symmetric loads).
+    rotation: usize,
+    // Scalar scratch, reused across slots.
     nrq: Vec<usize>,
     ngt: Vec<usize>,
     grant_of_target: Vec<Option<usize>>,
+    // Word-parallel scratch (bitset backend): flat `n × words_for(n)` row,
+    // column and per-input grant masks, `planes_for(n)` bit-planes each for
+    // NRQ (over requesters) and NGT (over targets), and single masks.
+    rows: Vec<u64>,
+    cols: Vec<u64>,
+    grant_mask: Vec<u64>,
+    nrq_planes: Vec<u64>,
+    ngt_planes: Vec<u64>,
+    unmatched_in: Vec<u64>,
+    unmatched_out: Vec<u64>,
+    granted: Vec<u64>,
+    cand: Vec<u64>,
     trace: IterationTrace,
 }
 
@@ -65,18 +79,36 @@ impl DistributedLcf {
     fn build(n: usize, iterations: usize, round_robin: bool) -> Self {
         assert!(n > 0, "scheduler requires n > 0");
         assert!(iterations > 0, "at least one iteration required");
+        let w = bitkern::words_for(n);
+        let planes = bitkern::planes_for(n);
         DistributedLcf {
             n,
             iterations,
             round_robin,
+            backend: Backend::default(),
             pointer: DiagonalPointer::new(n),
-            grant_tb: (0..n).collect(),
-            accept_tb: (0..n).collect(),
+            rotation: 0,
             nrq: vec![0; n],
             ngt: vec![0; n],
             grant_of_target: vec![None; n],
+            rows: Vec::with_capacity(n * w),
+            cols: Vec::with_capacity(n * w),
+            grant_mask: vec![0; n * w],
+            nrq_planes: vec![0; planes * w],
+            ngt_planes: vec![0; planes * w],
+            unmatched_in: vec![0; w],
+            unmatched_out: vec![0; w],
+            granted: vec![0; w],
+            cand: vec![0; w],
             trace: IterationTrace::default(),
         }
+    }
+
+    /// Selects the matching-kernel implementation (builder style). Both
+    /// backends produce bit-identical schedules; see [`Backend`].
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.backend = backend;
+        self
     }
 
     /// The configured iteration budget.
@@ -100,6 +132,18 @@ impl DistributedLcf {
     }
 }
 
+/// Start of port `k`'s rotating tie-break chain at tie-break rotation
+/// `rotation` (both below `n`): `(k + rotation) mod n`.
+#[inline]
+fn tie_break_start(k: usize, rotation: usize, n: usize) -> usize {
+    let s = k + rotation;
+    if s >= n {
+        s - n
+    } else {
+        s
+    }
+}
+
 impl Scheduler for DistributedLcf {
     fn name(&self) -> &'static str {
         if self.round_robin {
@@ -115,19 +159,47 @@ impl Scheduler for DistributedLcf {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        let n = self.n;
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
-        out.reset(n);
-        let matching = out;
+        out.reset(self.n);
         self.trace.begin_cycle();
 
         // Round-robin position: one matrix element per cycle is scheduled
         // before regular LCF iterations take place (Sec. 5).
+        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
         if self.round_robin && requests.get(i_off, j_off) {
-            matching.connect(i_off, j_off);
+            out.connect(i_off, j_off);
             self.trace.pre_grant(i_off, j_off);
         }
 
+        if self.backend.word_parallel() {
+            self.schedule_bitset(requests, out);
+        } else {
+            self.schedule_scalar(requests, out);
+        }
+
+        self.pointer.advance();
+        self.rotation = (self.rotation + 1) % self.n;
+    }
+
+    fn reset(&mut self) {
+        self.pointer = DiagonalPointer::new(self.n);
+        self.rotation = 0;
+        self.trace.begin_cycle();
+    }
+
+    fn set_tracing(&mut self, enabled: bool) {
+        self.trace.set_tracing(enabled);
+    }
+
+    fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
+        self.trace.drain_into(sink);
+    }
+}
+
+impl DistributedLcf {
+    /// The scalar reference kernel: per-bit request probes and one rotating
+    /// minimum scan per port per step.
+    fn schedule_scalar(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
+        let n = self.n;
         for iter in 0..self.iterations {
             // --- Request step -------------------------------------------
             // NRQ counts only requests an unmatched initiator can still act
@@ -161,9 +233,10 @@ impl Scheduler for DistributedLcf {
                 }
                 // Lowest NRQ wins; ties broken by this target's rotating
                 // priority chain.
-                self.grant_of_target[j] = min_rotating(n, self.grant_tb[j], |i| {
-                    (!matching.input_matched(i) && requests.get(i, j)).then_some(self.nrq[i])
-                });
+                self.grant_of_target[j] =
+                    min_rotating(n, tie_break_start(j, self.rotation, n), |i| {
+                        (!matching.input_matched(i) && requests.get(i, j)).then_some(self.nrq[i])
+                    });
                 if let Some(i) = self.grant_of_target[j] {
                     self.trace.grant(i, j);
                 }
@@ -177,7 +250,7 @@ impl Scheduler for DistributedLcf {
                 }
                 // Lowest NGT wins; ties broken by this initiator's rotating
                 // priority chain.
-                let accepted = min_rotating(n, self.accept_tb[i], |j| {
+                let accepted = min_rotating(n, tie_break_start(i, self.rotation, n), |j| {
                     (self.grant_of_target[j] == Some(i)).then_some(self.ngt[j])
                 });
                 if let Some(j) = accepted {
@@ -192,26 +265,146 @@ impl Scheduler for DistributedLcf {
                 break;
             }
         }
+    }
 
-        self.pointer.advance();
-        for tb in self.grant_tb.iter_mut().chain(self.accept_tb.iter_mut()) {
-            *tb = (*tb + 1) % n;
+    /// The word-parallel kernel. Each iteration:
+    ///
+    /// * **Request** — NRQ is `popcount(row & unmatched_out)`, scattered
+    ///   into bit-planes over requesters;
+    /// * **Grant** — each unmatched output's candidates are
+    ///   `col & unmatched_in` (NGT is their popcount, scattered into planes
+    ///   over targets); [`bitkern::min_plane_rotating`] narrows them to the
+    ///   lowest NRQ and picks the first at or after the tie-break start;
+    /// * **Accept** — each input holding grants narrows its grant mask over
+    ///   the NGT planes with the same primitive.
+    ///
+    /// Only the planes below the largest live count are read. Outputs and
+    /// inputs are walked in ascending order, so grants, accepts and trace
+    /// calls are identical, one for one, to
+    /// [`DistributedLcf::schedule_scalar`].
+    fn schedule_bitset(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
+        // One kernel body for every width; the single-word call lets the
+        // compiler fold `w = 1` through every mask loop.
+        match bitkern::words_for(self.n) {
+            1 => self.bitset_pass(1, requests, matching),
+            w => self.bitset_pass(w, requests, matching),
         }
     }
 
-    fn reset(&mut self) {
-        self.pointer = DiagonalPointer::new(self.n);
-        self.grant_tb = (0..self.n).collect();
-        self.accept_tb = (0..self.n).collect();
-        self.trace.begin_cycle();
-    }
+    #[inline(always)]
+    fn bitset_pass(&mut self, w: usize, requests: &RequestMatrix, matching: &mut Matching) {
+        let n = self.n;
+        let (rotation, pre_i) = (self.rotation, self.pointer.i);
+        bitkern::load_rows(requests.bits(), &mut self.rows);
+        bitkern::col_masks(&self.rows, n, &mut self.cols);
+        // Local slices, so the body below reads no `self` fields.
+        let rows = &self.rows[..];
+        let cols = &self.cols[..];
+        let grant_mask = &mut self.grant_mask[..];
+        let nrq_planes = &mut self.nrq_planes[..];
+        let ngt_planes = &mut self.ngt_planes[..];
+        let unmatched_in = &mut self.unmatched_in[..];
+        let unmatched_out = &mut self.unmatched_out[..];
+        let granted = &mut self.granted[..];
+        let cand = &mut self.cand[..];
+        let trace = &mut self.trace;
+        bitkern::mask_fill(unmatched_in, n);
+        bitkern::mask_fill(unmatched_out, n);
+        // The only match so far is the round-robin pre-grant, if one was
+        // made: it sits at input `pointer.i`.
+        if let Some(j) = matching.output_for(pre_i) {
+            bitkern::clear_bit(unmatched_in, pre_i);
+            bitkern::clear_bit(unmatched_out, j);
+        }
 
-    fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_tracing(enabled);
-    }
+        for iter in 0..self.iterations {
+            // --- Request step: NRQ bit-planes over unmatched inputs. -----
+            nrq_planes.fill(0);
+            let mut nrq_any = 0usize; // OR of all counts: same bit length as the max
+            for (wi, &word) in unmatched_in[..w].iter().enumerate() {
+                let mut ins = word;
+                while ins != 0 {
+                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
+                    ins &= ins - 1;
+                    let nrq: usize = rows[i * w..(i + 1) * w]
+                        .iter()
+                        .zip(&*unmatched_out)
+                        .map(|(r, o)| (r & o).count_ones() as usize)
+                        .sum();
+                    nrq_any |= nrq;
+                    bitkern::plane_scatter(nrq_planes, w, i, nrq);
+                }
+            }
+            let nrq_top = bitkern::planes_for(nrq_any);
+            trace.begin_iteration(requests, matching);
 
-    fn drain_events(&mut self, sink: &mut dyn FnMut(lcf_telemetry::Event)) {
-        self.trace.drain_into(sink);
+            // --- Grant step: lowest NRQ among each output's requesters. --
+            ngt_planes.fill(0);
+            granted.fill(0);
+            let mut ngt_any = 0usize;
+            for (wi, &word) in unmatched_out[..w].iter().enumerate() {
+                let mut outs = word;
+                while outs != 0 {
+                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
+                    outs &= outs - 1;
+                    let col = &cols[j * w..(j + 1) * w];
+                    for ((c, &cw), &u) in cand.iter_mut().zip(col).zip(&*unmatched_in) {
+                        *c = cw & u;
+                    }
+                    let ngt = bitkern::popcount(cand);
+                    if ngt == 0 {
+                        continue;
+                    }
+                    ngt_any |= ngt;
+                    bitkern::plane_scatter(ngt_planes, w, j, ngt);
+                    if let Some(i) = bitkern::min_plane_rotating(
+                        cand,
+                        n,
+                        tie_break_start(j, rotation, n),
+                        nrq_planes,
+                        nrq_top,
+                    ) {
+                        bitkern::set_bit(&mut grant_mask[i * w..(i + 1) * w], j);
+                        bitkern::set_bit(granted, i);
+                        trace.grant(i, j);
+                    }
+                }
+            }
+
+            // --- Accept step: lowest NGT among each input's grants. ------
+            // Only inputs holding grants are walked; each accepts exactly
+            // one grant, and its grant row is cleared for the next
+            // iteration (so the grant masks are all zero between steps).
+            let ngt_top = bitkern::planes_for(ngt_any);
+            let mut new_matches = 0;
+            for (wi, &word) in granted[..w].iter().enumerate() {
+                let mut ins = word;
+                while ins != 0 {
+                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
+                    ins &= ins - 1;
+                    let grants = &mut grant_mask[i * w..(i + 1) * w];
+                    if let Some(j) = bitkern::min_plane_rotating(
+                        grants,
+                        n,
+                        tie_break_start(i, rotation, n),
+                        ngt_planes,
+                        ngt_top,
+                    ) {
+                        matching.connect(i, j);
+                        bitkern::clear_bit(unmatched_in, i);
+                        bitkern::clear_bit(unmatched_out, j);
+                        new_matches += 1;
+                        trace.accept(i, j);
+                    }
+                    grants.fill(0);
+                }
+            }
+
+            trace.end_iteration(iter, new_matches);
+            if new_matches == 0 {
+                break;
+            }
+        }
     }
 }
 
@@ -381,8 +574,73 @@ mod tests {
     }
 
     #[test]
+    fn tie_break_rotates_every_cycle_and_reset_restores_it() {
+        // I0 and I1 both request only T0 (NRQ 1 each): the tie falls to
+        // T0's chain, which starts at requester (0 + rotation) mod 2.
+        let requests = RequestMatrix::from_pairs(2, [(0, 0), (1, 0)]);
+        for backend in [Backend::Scalar, Backend::Bitset] {
+            let mut sched = DistributedLcf::pure(2, 1).with_backend(backend);
+            let winners: Vec<_> = (0..4)
+                .map(|_| sched.schedule(&requests).input_for(0))
+                .collect();
+            assert_eq!(winners, [Some(0), Some(1), Some(0), Some(1)], "{backend}");
+            sched.schedule(&requests);
+            sched.reset();
+            assert_eq!(sched.schedule(&requests).input_for(0), Some(0), "{backend}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one iteration")]
     fn zero_iterations_panics() {
         let _ = DistributedLcf::pure(4, 0);
+    }
+
+    /// The bitset kernel against the scalar reference, traced: the same
+    /// matchings, the same `IterationTrace` (pre-grant, per-iteration
+    /// request/grant/accept sets, convergence) and the same drained events,
+    /// slot after slot, across word boundaries, both flavours and three
+    /// iteration budgets.
+    #[test]
+    fn bitset_kernel_matches_scalar_event_for_event() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let drained = |s: &mut DistributedLcf| {
+            let mut lines = Vec::new();
+            s.drain_events(&mut |e| lines.push(e.to_json()));
+            lines
+        };
+        for n in [1, 2, 4, 7, 16, 32, 63, 64, 65, 130, 256] {
+            let slots = if n <= 64 { 12 } else { 4 };
+            for rr in [false, true] {
+                for budget in [1, 4, 16] {
+                    let mut rng = StdRng::seed_from_u64(0xD157 ^ n as u64);
+                    let mut scalar =
+                        DistributedLcf::build(n, budget, rr).with_backend(Backend::Scalar);
+                    let mut bitset =
+                        DistributedLcf::build(n, budget, rr).with_backend(Backend::Bitset);
+                    scalar.set_tracing(true);
+                    bitset.set_tracing(true);
+                    for slot in 0..slots {
+                        let density = (slot % 5) as f64 / 4.0;
+                        let requests = RequestMatrix::random(n, density, &mut rng);
+                        let label = format!("n={n} rr={rr} budget={budget} slot={slot}");
+                        let a = scalar.schedule(&requests);
+                        let b = bitset.schedule(&requests);
+                        assert_eq!(a, b, "{label}: matchings differ");
+                        assert_eq!(
+                            scalar.last_trace(),
+                            bitset.last_trace(),
+                            "{label}: traces differ"
+                        );
+                        assert_eq!(
+                            drained(&mut scalar),
+                            drained(&mut bitset),
+                            "{label}: events differ"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -169,6 +169,8 @@ impl SchedulerKind {
             self,
             SchedulerKind::LcfCentral
                 | SchedulerKind::LcfCentralRr
+                | SchedulerKind::LcfDist
+                | SchedulerKind::LcfDistRr
                 | SchedulerKind::Pim
                 | SchedulerKind::Islip
                 | SchedulerKind::Wavefront
@@ -218,11 +220,11 @@ impl SchedulerKind {
 
     /// Like [`SchedulerKind::build`], but selects the matching-kernel
     /// [`Backend`] for the schedulers that have a word-parallel fast path
-    /// (`lcf_central*`, `islip`, `pim`, `wfront`). The scalar backend is the
-    /// reference implementation; both produce bit-identical matchings, so
-    /// this is a performance dial and a differential-testing hook, never a
-    /// semantic switch. Schedulers without a bitset kernel ignore the
-    /// choice.
+    /// (`lcf_central*`, `lcf_dist*`, `islip`, `pim`, `wfront`). The scalar
+    /// backend is the reference implementation; both produce bit-identical
+    /// matchings, so this is a performance dial and a differential-testing
+    /// hook, never a semantic switch. Schedulers without a bitset kernel
+    /// ignore the choice.
     ///
     /// Returns the scheduler together with the [`BackendChoice`] that was
     /// actually applied, so callers can assert which kernel runs instead of
@@ -240,8 +242,12 @@ impl SchedulerKind {
             SchedulerKind::LcfCentralRr => {
                 Box::new(CentralLcf::with_round_robin(n).with_backend(backend))
             }
-            SchedulerKind::LcfDist => Box::new(DistributedLcf::pure(n, iterations)),
-            SchedulerKind::LcfDistRr => Box::new(DistributedLcf::with_round_robin(n, iterations)),
+            SchedulerKind::LcfDist => {
+                Box::new(DistributedLcf::pure(n, iterations).with_backend(backend))
+            }
+            SchedulerKind::LcfDistRr => {
+                Box::new(DistributedLcf::with_round_robin(n, iterations).with_backend(backend))
+            }
             SchedulerKind::Pim => Box::new(Pim::new(n, iterations, seed).with_backend(backend)),
             SchedulerKind::Islip => Box::new(Islip::new(n, iterations).with_backend(backend)),
             SchedulerKind::Wavefront => Box::new(Wavefront::new(n).with_backend(backend)),
@@ -451,6 +457,8 @@ mod tests {
         assert_eq!(choice, BackendChoice::AsRequested(Backend::Bitset));
         for kind in [
             SchedulerKind::LcfCentral,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Islip,
             SchedulerKind::Pim,
             SchedulerKind::Wavefront,

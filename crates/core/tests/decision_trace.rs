@@ -114,8 +114,9 @@ const ALL_POLICIES: [RrPolicy; 6] = [
     RrPolicy::PriorityDiagonal,
 ];
 
-/// Central LCF under every policy, plus iSLIP and PIM: every scheduler with
-/// both a word-parallel kernel and decision tracing.
+/// Central LCF under every policy, plus iSLIP, PIM and both distributed
+/// LCF flavours: every scheduler with both a word-parallel kernel and
+/// decision tracing.
 fn lineup(n: usize, backend: Backend, traced: bool) -> Vec<Box<dyn Scheduler + Send>> {
     let mut all: Vec<Box<dyn Scheduler + Send>> = ALL_POLICIES
         .iter()
@@ -126,6 +127,10 @@ fn lineup(n: usize, backend: Backend, traced: bool) -> Vec<Box<dyn Scheduler + S
         .collect();
     all.push(Box::new(Islip::new(n, 4).with_backend(backend)));
     all.push(Box::new(Pim::new(n, 4, 0x5EED).with_backend(backend)));
+    all.push(Box::new(DistributedLcf::pure(n, 4).with_backend(backend)));
+    all.push(Box::new(
+        DistributedLcf::with_round_robin(n, 4).with_backend(backend),
+    ));
     for s in &mut all {
         s.set_tracing(traced);
     }

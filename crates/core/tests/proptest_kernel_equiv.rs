@@ -9,7 +9,7 @@
 
 use lcf_core::bitkern::Backend;
 use lcf_core::islip::Islip;
-use lcf_core::lcf::{CentralLcf, RrPolicy};
+use lcf_core::lcf::{CentralLcf, DistributedLcf, RrPolicy};
 use lcf_core::matching::Matching;
 use lcf_core::pim::Pim;
 use lcf_core::registry::SchedulerKind;
@@ -37,6 +37,21 @@ fn matrix_sequence(n: usize, seed: u64, slots: usize, density: f64) -> Vec<Reque
     (0..slots)
         .map(|_| RequestMatrix::random(n, density, &mut rng))
         .collect()
+}
+
+/// A distributed LCF scheduler of either flavour on the given backend.
+fn distributed(
+    n: usize,
+    iterations: usize,
+    round_robin: bool,
+    backend: Backend,
+) -> Box<dyn Scheduler + Send> {
+    let sched = if round_robin {
+        DistributedLcf::with_round_robin(n, iterations)
+    } else {
+        DistributedLcf::pure(n, iterations)
+    };
+    Box::new(sched.with_backend(backend))
 }
 
 /// Runs the same slot sequence through a scalar and a bitset instance of one
@@ -113,6 +128,30 @@ proptest! {
         );
     }
 
+    /// Distributed LCF, both flavours: the round-robin pointer and the
+    /// tie-break rotation carry state across slots, and the iteration
+    /// budget decides how far the bit-plane narrowing is exercised (one
+    /// iteration, the paper's four, and enough to converge).
+    #[test]
+    fn distributed_lcf_bitset_matches_scalar(
+        n in 1usize..=64,
+        seed in any::<u64>(),
+        density in 0.0f64..=1.0,
+    ) {
+        let matrices = matrix_sequence(n, seed, 6, density);
+        for iterations in [1, 4, n] {
+            for round_robin in [false, true] {
+                let build = |backend| distributed(n, iterations, round_robin, backend);
+                assert_equivalent(
+                    build(Backend::Scalar),
+                    build(Backend::Bitset),
+                    &matrices,
+                    &format!("lcf_dist rr={round_robin} n={n} iters={iterations}"),
+                );
+            }
+        }
+    }
+
     /// Wavefront: the rotating starting diagonal is the only state.
     #[test]
     fn wavefront_bitset_matches_scalar(
@@ -145,6 +184,8 @@ proptest! {
         for kind in [
             SchedulerKind::LcfCentral,
             SchedulerKind::LcfCentralRr,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Pim,
             SchedulerKind::Islip,
             SchedulerKind::Wavefront,
@@ -263,6 +304,26 @@ fn large_n_pim_bitset_matches_scalar() {
     }
 }
 
+/// Distributed LCF above the word width, both flavours: multi-word
+/// candidate masks and bit-planes.
+#[test]
+fn large_n_distributed_lcf_bitset_matches_scalar() {
+    for n in LARGE_NS {
+        for density in LARGE_DENSITIES {
+            let matrices = matrix_sequence(n, 0xD157 ^ n as u64, 3, density);
+            for round_robin in [false, true] {
+                assert_equivalent_into(
+                    distributed(n, 4, round_robin, Backend::Scalar).as_mut(),
+                    distributed(n, 4, round_robin, Backend::Bitset).as_mut(),
+                    n,
+                    &matrices,
+                    &format!("lcf_dist rr={round_robin} n={n} d={density}"),
+                );
+            }
+        }
+    }
+}
+
 /// Wavefront above the word width: rotating offset over multi-word diagonals.
 #[test]
 fn large_n_wavefront_bitset_matches_scalar() {
@@ -291,6 +352,8 @@ fn large_n_registry_backends_agree_and_report_as_requested() {
         for kind in [
             SchedulerKind::LcfCentral,
             SchedulerKind::LcfCentralRr,
+            SchedulerKind::LcfDist,
+            SchedulerKind::LcfDistRr,
             SchedulerKind::Pim,
             SchedulerKind::Islip,
             SchedulerKind::Wavefront,
