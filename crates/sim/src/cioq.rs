@@ -56,6 +56,9 @@ pub struct CioqSwitch {
     free_batches: Vec<Vec<Matching>>,
     /// Per-slot arrival batch, reused across slots.
     arrivals: Vec<Option<usize>>,
+    /// Packets buffered in the PQs, VOQs and output buffers: up when a PQ
+    /// accepts a packet, down when one leaves on its output link.
+    backlog: usize,
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -101,6 +104,7 @@ impl CioqSwitch {
                 .map(|_| Vec::with_capacity(speedup))
                 .collect(),
             arrivals: vec![None; n],
+            backlog: 0,
             telemetry: None,
         }
     }
@@ -130,11 +134,21 @@ impl CioqSwitch {
         self.wasted_grants
     }
 
-    /// Total packets currently buffered anywhere.
+    /// Total packets currently buffered anywhere. O(1): the switch keeps a
+    /// running count.
     pub fn buffered_packets(&self) -> usize {
-        self.pqs.iter().map(|q| q.len()).sum::<usize>()
-            + self.voqs.iter().map(|v| v.total_len()).sum::<usize>()
-            + self.outputs.iter().map(|q| q.len()).sum::<usize>()
+        self.backlog
+    }
+
+    /// Slot-loop invariant check: the running backlog equals a full
+    /// recount of the queues (see [`crate::queues::check_backlog`]).
+    #[cfg(all(feature = "check-invariants", debug_assertions))]
+    fn check_backlog(&self) {
+        let fifos = self.pqs.iter().chain(&self.outputs).map(BoundedFifo::len);
+        if let Err(e) = crate::queues::check_backlog(self.backlog, fifos.sum(), &self.voqs) {
+            // lint:allow(no-panic): invariant checker aborts on a broken queue count
+            panic!("CIOQ slot loop: {e}");
+        }
     }
 
     fn compute_matchings(&mut self) -> Vec<Matching> {
@@ -203,7 +217,9 @@ impl CioqSwitch {
         for (input, dst) in self.arrivals.iter().enumerate() {
             let Some(dst) = *dst else { continue };
             stats.on_generated();
-            if !self.pqs[input].push(Packet::new(input, dst, slot)) {
+            if self.pqs[input].push(Packet::new(input, dst, slot)) {
+                self.backlog += 1;
+            } else {
                 stats.on_drop_pq();
             }
         }
@@ -263,6 +279,9 @@ impl CioqSwitch {
                 delivered += 1;
             }
         }
+        self.backlog -= delivered as usize;
+        #[cfg(all(feature = "check-invariants", debug_assertions))]
+        self.check_backlog();
 
         if self.telemetry.is_some() {
             let buffered = self.buffered_packets() as f64;

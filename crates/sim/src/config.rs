@@ -171,8 +171,21 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.load) {
             return Err(format!("load {} outside [0,1]", self.load));
         }
-        if self.pq_cap == 0 || self.voq_cap == 0 || self.outbuf_cap == 0 {
-            return Err("queue capacities must be positive".into());
+        for (field, cap) in [
+            ("pq_cap", self.pq_cap),
+            ("voq_cap", self.voq_cap),
+            ("outbuf_cap", self.outbuf_cap),
+        ] {
+            if cap == 0 {
+                return Err(format!("{field} must be positive"));
+            }
+        }
+        if crate::queues::slab_cells(self.n, self.voq_cap).is_none() {
+            return Err(format!(
+                "voq_cap {} too large: n = {} VOQs of that capacity exceed the \
+                 u32 cell index of an input's shared buffer",
+                self.voq_cap, self.n
+            ));
         }
         if self.iterations == 0 || self.islip_iterations == 0 {
             return Err("iteration budgets must be positive".into());
@@ -275,5 +288,39 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.measure_slots = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn zero_capacity_error_names_the_field() {
+        for field in ["pq_cap", "voq_cap", "outbuf_cap"] {
+            let mut cfg = SimConfig::paper_default();
+            match field {
+                "pq_cap" => cfg.pq_cap = 0,
+                "voq_cap" => cfg.voq_cap = 0,
+                _ => cfg.outbuf_cap = 0,
+            }
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err, format!("{field} must be positive"));
+        }
+    }
+
+    #[test]
+    fn unindexable_voq_cap_is_rejected_naming_the_field() {
+        let mut cfg = SimConfig::paper_default();
+        cfg.voq_cap = usize::MAX;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("voq_cap "), "{err}");
+        assert!(err.contains("n = 16"), "{err}");
+
+        // n x voq_cap just past the u32 index range fails; at it, passes.
+        let limit = u32::MAX as usize;
+        cfg.n = 1;
+        cfg.voq_cap = limit + 1;
+        assert!(cfg.validate().unwrap_err().starts_with("voq_cap "));
+        cfg.voq_cap = limit;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.n = 65_536;
+        cfg.voq_cap = 65_536;
+        assert!(cfg.validate().unwrap_err().starts_with("voq_cap "));
     }
 }

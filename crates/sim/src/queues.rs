@@ -1,5 +1,6 @@
-//! Bounded FIFO queues: packet queues (PQ), virtual output queues (VOQ) and
-//! output buffers are all instances of [`BoundedFifo`].
+//! Bounded FIFO queues. Packet queues (PQ), single input FIFOs and output
+//! buffers are [`BoundedFifo`]s; an input's virtual output queues (VOQ) are
+//! one [`VoqSet`], a shared cell buffer with one list per destination.
 
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -85,14 +86,57 @@ impl BoundedFifo {
     }
 }
 
+/// Sentinel cell index: "no cell". Never a real index, because
+/// [`VoqSet::new`] keeps every slab index below it.
+const NIL: u32 = u32::MAX;
+
+/// The number of cells a `VoqSet` of `n` VOQs of `cap_each` packets can
+/// hold at once, if a `u32` cell index can address all of them (`None`
+/// otherwise). [`crate::config::SimConfig::validate`] and [`VoqSet::new`]
+/// share this limit.
+pub(crate) fn slab_cells(n: usize, cap_each: usize) -> Option<usize> {
+    n.checked_mul(cap_each)
+        .filter(|&cells| cells <= NIL as usize)
+}
+
+/// One VOQ: a singly linked list of cells in the input's slab. `head` and
+/// `tail` are meaningful only while `len > 0`.
+#[derive(Clone, Copy, Debug)]
+struct VoqList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// One slab cell: a queued packet and the next cell of its VOQ (or of the
+/// free list).
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    packet: Packet,
+    next: u32,
+}
+
 /// The set of `n` virtual output queues of one input port.
 ///
 /// Packets are sorted by destination on arrival at the input buffer
 /// (Sec. 2); each destination has its own bounded FIFO so packets for
 /// different targets never block each other.
+///
+/// Like a hardware shared input buffer, all `n` VOQs live in one slab of
+/// cells: each destination keeps only a `{head, tail, len}` record, and a
+/// VOQ is a linked list through the slab. Freed cells go on a LIFO free
+/// list and are reused before the slab grows, so the slab only grows when
+/// the input's backlog passes its previous peak: memory is O(n + peak
+/// backlog) per input, not O(n) separate queue buffers.
 #[derive(Clone, Debug)]
 pub struct VoqSet {
-    queues: Vec<BoundedFifo>,
+    cap: u32,
+    lists: Vec<VoqList>,
+    cells: Vec<Cell>,
+    /// Head of the free list, or [`NIL`].
+    free: u32,
+    /// Packets queued across all VOQs.
+    total: usize,
     // Occupancy bitmap, 64 destinations per word: bit (dst % 64) of word
     // (dst / 64) is set iff the VOQ for dst is non-empty. Maintained on
     // push/pop so the simulator can build the scheduler's request row with
@@ -102,64 +146,127 @@ pub struct VoqSet {
 
 impl VoqSet {
     /// Creates `n` VOQs of `cap_each` packets each.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or `cap_each == 0`, and — in release builds too —
+    /// if the `n × cap_each` cells the set may hold at once do not fit a
+    /// `u32` slab index.
     pub fn new(n: usize, cap_each: usize) -> Self {
         assert!(n > 0, "VOQ set requires n > 0");
+        assert!(cap_each > 0, "queue capacity must be positive");
+        assert!(
+            slab_cells(n, cap_each).is_some(),
+            "VOQ set of n = {n} queues x cap = {cap_each} packets exceeds the {NIL} cells \
+             a u32 slab index can address"
+        );
+        // lint:allow(no-panic): cap_each <= n x cap_each <= u32::MAX, asserted just above
+        let cap = u32::try_from(cap_each).expect("VOQ cap fits the slab index");
         VoqSet {
-            queues: (0..n).map(|_| BoundedFifo::new(cap_each)).collect(),
+            cap,
+            lists: vec![
+                VoqList {
+                    head: NIL,
+                    tail: NIL,
+                    len: 0,
+                };
+                n
+            ],
+            cells: Vec::new(),
+            free: NIL,
+            total: 0,
             occupancy: vec![0; n.div_ceil(64)],
         }
     }
 
     /// Number of VOQs (= switch ports).
     pub fn n(&self) -> usize {
-        self.queues.len()
+        self.lists.len()
     }
 
     /// Attempts to enqueue a packet into the VOQ of its destination.
     #[must_use = "a false return means the packet was dropped"]
     pub fn push(&mut self, p: Packet) -> bool {
         let dst = p.dst_idx();
-        let pushed = self.queues[dst].push(p);
-        if pushed {
-            self.occupancy[dst / 64] |= 1u64 << (dst % 64);
+        if self.lists[dst].len >= self.cap {
+            return false;
         }
-        pushed
+        let cell = Cell {
+            packet: p,
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            // The free list is empty only when every slab cell is queued,
+            // so `cells.len() == total < n × cap <= u32::MAX`.
+            // lint:allow(no-panic): new() bounds the slab below u32::MAX cells
+            let idx = u32::try_from(self.cells.len()).expect("slab index fits u32");
+            self.cells.push(cell);
+            idx
+        } else {
+            let idx = self.free;
+            let slot = &mut self.cells[idx as usize];
+            self.free = slot.next;
+            *slot = cell;
+            idx
+        };
+        let list = &mut self.lists[dst];
+        if list.len == 0 {
+            list.head = idx;
+            self.occupancy[dst / 64] |= 1u64 << (dst % 64);
+        } else {
+            self.cells[list.tail as usize].next = idx;
+        }
+        list.tail = idx;
+        list.len += 1;
+        self.total += 1;
+        true
     }
 
     /// True if the VOQ for destination `dst` has room.
     pub fn has_room_for(&self, dst: usize) -> bool {
-        !self.queues[dst].is_full()
+        self.lists[dst].len < self.cap
     }
 
     /// True if the VOQ for destination `dst` holds at least one packet —
     /// this is the request bit the scheduler sees.
     pub fn has_packet_for(&self, dst: usize) -> bool {
-        !self.queues[dst].is_empty()
+        self.lists[dst].len > 0
     }
 
     /// Dequeues the head packet destined for `dst`.
     pub fn pop_for(&mut self, dst: usize) -> Option<Packet> {
-        let p = self.queues[dst].pop();
-        if self.queues[dst].is_empty() {
+        let list = &mut self.lists[dst];
+        if list.len == 0 {
+            return None;
+        }
+        let idx = list.head;
+        let cell = &mut self.cells[idx as usize];
+        list.head = cell.next;
+        list.len -= 1;
+        if list.len == 0 {
             self.occupancy[dst / 64] &= !(1u64 << (dst % 64));
         }
-        p
+        cell.next = self.free;
+        self.free = idx;
+        self.total -= 1;
+        Some(cell.packet)
     }
 
     /// Peeks at the head packet destined for `dst` (for age-based
     /// schedulers).
     pub fn head_for(&self, dst: usize) -> Option<&Packet> {
-        self.queues[dst].head()
+        let list = &self.lists[dst];
+        (list.len > 0).then(|| &self.cells[list.head as usize].packet)
     }
 
     /// Total packets queued across all VOQs.
+    #[inline]
     pub fn total_len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.total
     }
 
     /// Occupancy of the VOQ for destination `dst`.
     pub fn len_for(&self, dst: usize) -> usize {
-        self.queues[dst].len()
+        self.lists[dst].len as usize
     }
 
     /// The occupancy bitmap, 64 destinations per word: bit `dst % 64` of
@@ -176,6 +283,45 @@ impl VoqSet {
     pub fn occupied_count(&self) -> usize {
         self.occupancy.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// Slot-loop invariant check of a switch's running backlog: `backlog` must
+/// equal `fifo_packets` (what the switch's FIFOs hold) plus a recount of
+/// its VOQ sets, and each set's running total and occupancy bits must
+/// agree with its per-destination lengths. O(n) per set.
+#[cfg(all(feature = "check-invariants", debug_assertions))]
+pub(crate) fn check_backlog(
+    backlog: usize,
+    fifo_packets: usize,
+    sets: &[VoqSet],
+) -> Result<(), String> {
+    let mut count = fifo_packets;
+    for (input, set) in sets.iter().enumerate() {
+        let mut sum = 0;
+        for dst in 0..set.n() {
+            let len = set.len_for(dst);
+            let bit = set.occupancy[dst / 64] >> (dst % 64) & 1 == 1;
+            if bit != (len > 0) {
+                return Err(format!(
+                    "input {input} VOQ {dst}: occupancy bit {bit} but length {len}"
+                ));
+            }
+            sum += len;
+        }
+        if sum != set.total {
+            return Err(format!(
+                "input {input}: VOQ total {} but its queues hold {sum}",
+                set.total
+            ));
+        }
+        count += sum;
+    }
+    if count != backlog {
+        return Err(format!(
+            "running backlog {backlog} but the queues hold {count}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -290,6 +436,61 @@ mod tests {
                 "bit {dst}"
             );
         }
+    }
+
+    #[test]
+    fn voq_record_and_cell_are_small() {
+        // The shared buffer costs 12 B per destination plus one cell per
+        // queued packet: keep both at their hardware-like sizes.
+        assert_eq!(std::mem::size_of::<VoqList>(), 12);
+        assert!(std::mem::size_of::<Cell>() <= 24);
+    }
+
+    #[test]
+    fn drained_cells_are_reused_before_the_slab_grows() {
+        let mut v = VoqSet::new(4, 8);
+        for dst in [0, 1, 0, 2] {
+            assert!(v.push(pkt(dst)));
+        }
+        assert_eq!(v.cells.len(), 4);
+        for dst in [0, 0, 1, 2] {
+            assert!(v.pop_for(dst).is_some());
+        }
+        for t in 0..4 {
+            assert!(v.push(Packet::new(0, 3, t)));
+        }
+        assert_eq!(v.cells.len(), 4, "the slab grows only past its peak");
+        for t in 0..4 {
+            assert_eq!(v.pop_for(3).unwrap().generated_at, t, "FIFO order");
+        }
+        assert!(v.push(pkt(3)));
+        assert!(v.push(pkt(3)));
+        assert_eq!(v.total_len(), 2);
+        assert_eq!(v.cells.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 2 queues x cap = 4294967295 packets")]
+    fn unindexable_slab_panics_naming_n_and_cap() {
+        let _ = VoqSet::new(2, u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_voq_capacity_panics() {
+        let _ = VoqSet::new(4, 0);
+    }
+
+    #[test]
+    fn slab_limit_is_the_u32_index_range() {
+        assert_eq!(slab_cells(1, u32::MAX as usize), Some(u32::MAX as usize));
+        assert_eq!(slab_cells(1, u32::MAX as usize + 1), None);
+        assert_eq!(slab_cells(65_536, 65_536), None);
+        assert_eq!(slab_cells(usize::MAX, 2), None, "overflow is rejected too");
+        assert_eq!(slab_cells(256, 256), Some(65_536));
+        // The largest indexable set builds without allocating its cells.
+        let v = VoqSet::new(1, u32::MAX as usize);
+        assert!(v.has_room_for(0));
     }
 
     #[test]

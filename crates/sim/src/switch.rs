@@ -124,6 +124,9 @@ pub struct IqSwitch {
     /// Per-slot arrival batch, reused across slots (hot-path memory
     /// contract: no per-slot allocation).
     arrivals: Vec<Option<usize>>,
+    /// Packets buffered in the PQs and input buffers: up when a PQ accepts
+    /// a packet, down when one departs, so the backlog is O(1) to read.
+    backlog: usize,
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
@@ -190,6 +193,7 @@ impl IqSwitch {
             requests: RequestMatrix::new(n),
             last_matching: Matching::new(n),
             arrivals: vec![None; n],
+            backlog: 0,
             telemetry: None,
         }
     }
@@ -308,14 +312,28 @@ impl IqSwitch {
         }
     }
 
-    /// Total packets currently buffered (PQs + input buffers).
+    /// Total packets currently buffered (PQs + input buffers). O(1): the
+    /// switch keeps a running count.
     pub fn buffered_packets(&self) -> usize {
-        let pq: usize = self.pqs.iter().map(|q| q.len()).sum();
-        let inner: usize = match &self.inputs {
-            InputQueues::Voq(v) => v.iter().map(|s| s.total_len()).sum(),
-            InputQueues::Fifo(f) => f.iter().map(|q| q.len()).sum(),
+        self.backlog
+    }
+
+    /// Slot-loop invariant check: the running backlog equals a full
+    /// recount of the queues (see [`crate::queues::check_backlog`]).
+    #[cfg(all(feature = "check-invariants", debug_assertions))]
+    fn check_backlog(&self) {
+        let pq: usize = self.pqs.iter().map(BoundedFifo::len).sum();
+        let checked = match &self.inputs {
+            InputQueues::Voq(v) => crate::queues::check_backlog(self.backlog, pq, v),
+            InputQueues::Fifo(f) => {
+                let fifo: usize = f.iter().map(BoundedFifo::len).sum();
+                crate::queues::check_backlog(self.backlog, pq + fifo, &[])
+            }
         };
-        pq + inner
+        if let Err(e) = checked {
+            // lint:allow(no-panic): invariant checker aborts on a broken queue count
+            panic!("slot loop: {e}");
+        }
     }
 
     /// Advances the simulation by one slot.
@@ -344,7 +362,9 @@ impl IqSwitch {
             let Some(dst) = *dst else { continue };
             generated += 1;
             stats.on_generated();
-            if !self.pqs[input].push(Packet::new(input, dst, slot)) {
+            if self.pqs[input].push(Packet::new(input, dst, slot)) {
+                self.backlog += 1;
+            } else {
                 dropped += 1;
                 stats.on_drop_pq();
                 if let Some(t) = tel.as_deref_mut() {
@@ -488,7 +508,10 @@ impl IqSwitch {
             .expect("scheduler granted an empty queue");
             debug_assert_eq!(p.dst_idx(), j, "head packet routed to wrong output");
             stats.on_delivered(&p, slot);
+            self.backlog -= 1;
         }
+        #[cfg(all(feature = "check-invariants", debug_assertions))]
+        self.check_backlog();
 
         // Per-slot occupancy and matching metrics. Histogram ranges cover
         // every reachable value (n matches per slot, n*n non-empty VOQs) so
