@@ -127,9 +127,14 @@ impl DiagonalPointer {
     /// The round-robin position on the diagonal for scheduling step `res`
     /// (step `res` schedules resource `(J + res) mod n` and favors requester
     /// `(I + res) mod n`).
+    ///
+    /// Division-free: `res` must be below `n`, so one conditional
+    /// subtraction wraps each sum.
     #[inline]
     pub fn diagonal_position(&self, res: usize) -> (usize, usize) {
-        ((self.i + res) % self.n, (self.j + res) % self.n)
+        debug_assert!(res < self.n, "diagonal step {res} out of range");
+        let wrap = |x: usize| if x >= self.n { x - self.n } else { x };
+        (wrap(self.i + res), wrap(self.j + res))
     }
 
     /// Advances the pointer at the end of a scheduling cycle (Fig. 2).

@@ -3,18 +3,21 @@
 //! A request-matrix row for an `n`-port switch is a mask of
 //! `words_for(n)` 64-bit words: bit `dst % 64` of word `dst / 64` is set
 //! iff the row requests destination `dst`. This is the packed layout of
-//! [`BitMatrix::row_words`]/[`BitMatrix::set_row_words`] and of the
-//! simulator's `VoqSet::occupancy_words`, so request rows flow from VOQ
-//! occupancy bitmaps into the kernels without any per-bit translation.
-//! On these masks the scans that dominate scheduler inner loops collapse
-//! into word operations:
+//! [`BitMatrix::row_words`](crate::bitmat::BitMatrix::row_words) and of the
+//! simulator's `VoqSet::occupancy_words`. The kernels read the request
+//! matrix's rows and its kept column masks and counts in place
+//! ([`RequestMatrix`](crate::request::RequestMatrix)); on these masks the
+//! scans that dominate scheduler inner loops collapse into word
+//! operations:
 //!
 //! * candidate filtering is a word-wise `AND` of a column mask against a
 //!   free-inputs mask,
 //! * rotating-priority selection ("first requester at or after the
 //!   pointer") is a short word walk with two `trailing_zeros` probes on a
 //!   split boundary word,
-//! * NRQ maintenance is `count_ones` over row words,
+//! * the least-NRQ requester among candidates is one ascending walk that
+//!   keys each candidate `(count << b) | rotation position` and applies the
+//!   grant's decrement in the same pass ([`min_count_rotating_grant`]),
 //! * the lowest small count among candidates is an MSB-to-LSB narrowing
 //!   over the counts' bit-planes ([`min_plane_rotating`]),
 //! * uniform random choice among candidates is a popcount plus a
@@ -34,8 +37,6 @@
 //! All multi-word entry points check their length/range contracts with
 //! release-mode asserts: a caller that hands a short mask or an
 //! out-of-range index gets a loud panic, never a silently truncated mask.
-
-use crate::bitmat::BitMatrix;
 
 /// Bits per mask word.
 pub const WORD_BITS: usize = 64;
@@ -165,14 +166,6 @@ pub fn clear_bit(mask: &mut [u64], idx: usize) {
 #[inline]
 pub fn popcount(mask: &[u64]) -> usize {
     mask.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// Loads every row of `m` into `rows` as one flat `n × words_for(n)` block:
-/// row `i` occupies `rows[i * w..(i + 1) * w]` in the [`BitMatrix::row_words`]
-/// layout. Allocation-free once `rows` has capacity for `n * w` words.
-pub fn load_rows(m: &BitMatrix, rows: &mut Vec<u64>) {
-    rows.clear();
-    rows.extend_from_slice(m.all_words());
 }
 
 /// Transposes the leading `sub × sub` corner of a 64×64 bit block in
@@ -370,115 +363,70 @@ pub fn min_key_rotating(mask: &[u64], n: usize, start: usize, key: &[usize]) -> 
     best.map(|(_, idx)| idx)
 }
 
-/// Among the set bits of `mask`, the index minimizing
-/// `popcount(rows[i * w..][..w] & filter)` — the number of row-`i` request
-/// bits surviving the `filter` mask — ties broken by the rotating order
-/// starting at `start`. This is the lazy-NRQ form of [`min_key_rotating`]:
-/// instead of maintaining a decremented count table and withdrawing rows
-/// from every column on each grant, the caller keeps the *original* request
-/// rows plus a mask of still-unscheduled resources, and the key is an
-/// `AND`+`popcount` per candidate. Bits of `mask` at or beyond `n` must be
-/// zero.
+/// Among the set bits of `col & free`, the index with the smallest
+/// `counts` entry, ties broken by the rotating order starting at `start`,
+/// fused with the grant's count update: every candidate's count is
+/// decremented in the same walk. This is the inner step of the wide central
+/// LCF resource loop (`col` is the resource's column of requesters, `free`
+/// the unmatched requesters, `counts` the NRQ table). Each candidate is
+/// keyed `(count << b) | rotation position`, where `b` is the bit length of
+/// `n`, so the smallest key is both the least count and, among ties, the
+/// first in rotating order; the candidates are therefore visited in plain
+/// ascending order. Counts are compared before the decrement, which lowers
+/// every candidate alike. Every candidate's count must be at least 1. Bits
+/// at or beyond `n` must be zero.
 ///
 /// # Panics
-/// Panics if `start >= n`, `mask.len() != words_for(n)`,
-/// `rows.len() < n * words_for(n)`, or `filter.len() != words_for(n)` —
-/// checked in release too.
-pub fn min_overlap_rotating(
-    mask: &[u64],
+/// Panics if `start >= n`, `col` or `free` is not `words_for(n)` words or
+/// `counts` is shorter than `n` — checked in release too.
+pub fn min_count_rotating_grant(
+    col: &[u64],
+    free: &[u64],
     n: usize,
     start: usize,
-    rows: &[u64],
-    filter: &[u64],
+    counts: &mut [u32],
 ) -> Option<usize> {
     let w = words_for(n);
     assert!(
         start < n,
-        "min_overlap_rotating: start {start} out of range for n = {n}"
-    );
-    assert_eq!(
-        mask.len(),
-        w,
-        "min_overlap_rotating: mask has {} words, n = {n} needs {w}",
-        mask.len()
+        "min_count_rotating_grant: start {start} out of range for n = {n}"
     );
     assert!(
-        rows.len() >= n * w,
-        "min_overlap_rotating: rows shorter than n x w"
+        col.len() == w && free.len() == w,
+        "min_count_rotating_grant: masks have {} and {} words, n = {n} needs {w}",
+        col.len(),
+        free.len()
     );
-    assert_eq!(
-        filter.len(),
-        w,
-        "min_overlap_rotating: filter has {} words, n = {n} needs {w}",
-        filter.len()
+    assert!(
+        counts.len() >= n,
+        "min_count_rotating_grant: counts shorter than n"
     );
-    debug_assert!(excess_is_zero(mask, n), "mask has bits beyond n");
-    if w == 1 {
-        // Single-word fast path: rotate the candidate word so one ascending
-        // trailing_zeros walk visits candidates in exactly the rotating
-        // order. Valid bits all land below `n`, so masking off the shifted
-        // overlap keeps the walk clean.
-        let cand = mask[0];
-        if cand == 0 {
-            return None;
-        }
-        let rot = if start == 0 {
-            cand
-        } else if n == WORD_BITS {
-            // lint:allow(truncating-cast): start < n <= 64 fits u32
-            cand.rotate_right(start as u32)
-        } else {
-            ((cand >> start) | (cand << (n - start))) & mask_n(n)
-        };
-        let filter0 = filter[0];
-        let mut best_key = u32::MAX;
-        let mut best_idx = 0usize;
-        let mut m = rot;
-        while m != 0 {
-            let mut idx = start + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if idx >= n {
-                idx -= n;
-            }
-            let kv = (rows[idx] & filter0).count_ones();
-            if kv < best_key {
-                best_key = kv;
-                best_idx = idx;
-            }
-        }
-        return Some(best_idx);
-    }
-    let (sw, sb) = (start / WORD_BITS, start % WORD_BITS);
-    // Same rotating enumeration as `min_key_rotating`: [start, n) ascending
-    // then [0, start) ascending, keeping the first strict minimum.
-    let mut best_key = usize::MAX;
-    let mut best_idx: Option<usize> = None;
-    let mut consider = |wi: usize, word: u64| {
-        let mut word = word;
+    debug_assert!(excess_is_zero(col, n), "col has bits beyond n");
+    let shift = planes_for(n);
+    let mut best = usize::MAX;
+    for (wi, (&c, &f)) in col.iter().zip(free).enumerate() {
+        let mut word = c & f;
         while word != 0 {
             let idx = wi * WORD_BITS + word.trailing_zeros() as usize;
             word &= word - 1;
-            let row = &rows[idx * w..idx * w + w];
-            let kv: usize = row
-                .iter()
-                .zip(filter)
-                .map(|(r, f)| (r & f).count_ones() as usize)
-                .sum();
-            if kv < best_key {
-                best_key = kv;
-                best_idx = Some(idx);
-            }
+            let count = &mut counts[idx];
+            let rot = if idx >= start {
+                idx - start
+            } else {
+                idx + n - start
+            };
+            best = best.min((*count as usize) << shift | rot);
+            *count -= 1;
         }
-    };
-    consider(sw, mask[sw] & (u64::MAX << sb));
-    for (wi, &word) in mask.iter().enumerate().skip(sw + 1) {
-        consider(wi, word);
     }
-    for (wi, &word) in mask.iter().enumerate().take(sw) {
-        consider(wi, word);
-    }
-    consider(sw, mask[sw] & !(u64::MAX << sb));
-    best_idx
+    (best != usize::MAX).then(|| {
+        let idx = (best & ((1 << shift) - 1)) + start;
+        if idx >= n {
+            idx - n
+        } else {
+            idx
+        }
+    })
 }
 
 // --- Bit-sliced counts ----------------------------------------------------
@@ -662,24 +610,24 @@ pub fn lane16_rot_table(n: usize) -> Vec<u64> {
     table
 }
 
-/// Packs the popcount of each single-word row into 16-bit lanes: lane
-/// `i % 4` of `keys16[i / 4]` becomes `rows[i].count_ones() << 7` (shifted
-/// past the rotation-position field). This is the NRQ table layout
-/// consumed by [`min_lane16_rotating`] and maintained by
-/// [`lane16_decrement`].
+/// Packs per-port counts into 16-bit lanes: lane `i % 4` of
+/// `keys16[i / 4]` becomes `counts[i] << 7` (shifted past the
+/// rotation-position field). This is the NRQ table layout consumed by
+/// [`min_lane16_rotating`] and maintained by [`lane16_decrement`]; the
+/// counts come straight from the request matrix's kept NRQ.
 ///
 /// # Panics
-/// Panics if `rows.len() < n` or `n > 64`.
-pub fn lane16_pack_popcounts(rows: &[u64], n: usize, keys16: &mut Vec<u64>) {
+/// Panics if `counts.len() < n` or `n > 64`.
+pub fn lane16_pack_counts(counts: &[u32], n: usize, keys16: &mut Vec<u64>) {
     let nw = lane16_words(n);
     assert!(
-        rows.len() >= n,
-        "lane16_pack_popcounts: rows shorter than n"
+        counts.len() >= n,
+        "lane16_pack_counts: counts shorter than n"
     );
     keys16.clear();
     keys16.resize(nw, 0);
-    for (i, &row) in rows.iter().enumerate().take(n) {
-        keys16[i / 4] |= ((row.count_ones() as u64) << LANE16_COUNT_SHIFT) << (16 * (i % 4));
+    for (i, &count) in counts.iter().enumerate().take(n) {
+        keys16[i / 4] |= (u64::from(count) << LANE16_COUNT_SHIFT) << (16 * (i % 4));
     }
 }
 
@@ -958,19 +906,23 @@ mod tests {
     }
 
     #[test]
-    fn load_rows_and_col_masks_transpose() {
+    fn col_masks_transpose() {
         for n in [37, 64, 65, 130, 200] {
-            let m = BitMatrix::from_fn(n, |i, j| (i * 7 + j * 3) % 5 == 0);
             let w = words_for(n);
-            let mut rows = Vec::new();
-            load_rows(&m, &mut rows);
-            assert_eq!(rows.len(), n * w);
+            let mut rows = vec![0u64; n * w];
+            for i in 0..n {
+                for j in (0..n).filter(|j| (i * 7 + j * 3) % 5 == 0) {
+                    set_bit(&mut rows[i * w..(i + 1) * w], j);
+                }
+            }
             let mut cols = Vec::new();
             col_masks(&rows, n, &mut cols);
+            assert_eq!(cols.len(), n * w);
             for i in 0..n {
                 for j in 0..n {
-                    assert_eq!(test_bit(&rows[i * w..(i + 1) * w], j), m.get(i, j));
-                    assert_eq!(test_bit(&cols[j * w..(j + 1) * w], i), m.get(i, j));
+                    let want = (i * 7 + j * 3) % 5 == 0;
+                    assert_eq!(test_bit(&rows[i * w..(i + 1) * w], j), want);
+                    assert_eq!(test_bit(&cols[j * w..(j + 1) * w], i), want);
                 }
             }
         }
@@ -1088,45 +1040,43 @@ mod tests {
         }
     }
 
+    /// The fused wide-LCF step picks exactly what the keyed rotating
+    /// minimum picks and lowers every candidate's count by one.
     #[test]
-    fn min_overlap_rotating_matches_min_key_on_filtered_popcounts() {
+    fn min_count_rotating_grant_matches_min_key_rotating() {
         for n in SIZES {
-            let w = words_for(n);
             for seed in 0..sweep(12) {
-                let mask = mask_for(n, seed.wrapping_mul(0x94D0_49BB_1331_11EB));
-                let rows: Vec<u64> = (0..n)
-                    .flat_map(|i| {
-                        mask_for(n, seed ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D))
-                    })
+                let col = mask_for(n, seed.wrapping_mul(0x94D0_49BB_1331_11EB));
+                // Counts >= 1 (the NRQ contract), few distinct values so the
+                // rotating tie-break decides often.
+                let counts: Vec<u32> = (0..n)
+                    .map(|i| 1 + ((seed as usize).wrapping_mul(i * 29 + 5) >> 2) as u32 % 4)
                     .collect();
-                let filter = mask_for(n, seed.rotate_left(17) ^ 0xDEAD_BEEF);
-                let key: Vec<usize> = (0..n)
-                    .map(|i| {
-                        rows[i * w..(i + 1) * w]
-                            .iter()
-                            .zip(&filter)
-                            .map(|(r, f)| (r & f).count_ones() as usize)
-                            .sum()
-                    })
-                    .collect();
+                let key: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
+                let free = mask_for(n, seed ^ 0x5DEE_CE66);
+                let cand: Vec<u64> = col.iter().zip(&free).map(|(c, f)| c & f).collect();
                 for start in (0..n).step_by((n / 7).max(1)) {
+                    let mut got = counts.clone();
                     assert_eq!(
-                        min_overlap_rotating(&mask, n, start, &rows, &filter),
-                        min_key_rotating(&mask, n, start, &key),
+                        min_count_rotating_grant(&col, &free, n, start, &mut got),
+                        min_key_rotating(&cand, n, start, &key),
                         "n={n} seed={seed} start={start}"
                     );
+                    for i in 0..n {
+                        let want = counts[i] - u32::from(test_bit(&cand, i));
+                        assert_eq!(got[i], want, "n={n} seed={seed} i={i}");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "min_overlap_rotating")]
-    fn min_overlap_rotating_rejects_short_filter_in_release_too() {
-        let mask = vec![0u64; 1];
-        let rows = vec![0u64; 64];
-        let filter: Vec<u64> = Vec::new();
-        let _ = min_overlap_rotating(&mask, 64, 0, &rows, &filter);
+    #[should_panic(expected = "min_count_rotating_grant")]
+    fn min_count_rotating_grant_rejects_short_counts_in_release_too() {
+        let col = vec![0u64; 2];
+        let mut counts = vec![1u32; 64];
+        let _ = min_count_rotating_grant(&col, &col, 128, 0, &mut counts);
     }
 
     #[test]
@@ -1220,15 +1170,17 @@ mod tests {
     #[test]
     fn lane16_pack_and_decrement_roundtrip() {
         for n in [1, 3, 4, 5, 31, 33, 64] {
-            let rows: Vec<u64> = (0..n).map(|i| mask_for(64, i as u64 + 7)[0]).collect();
+            let counts: Vec<u32> = (0..n)
+                .map(|i| mask_for(64, i as u64 + 7)[0].count_ones())
+                .collect();
             let mut keys = Vec::new();
-            lane16_pack_popcounts(&rows, n, &mut keys);
+            lane16_pack_counts(&counts, n, &mut keys);
             assert_eq!(keys.len(), lane16_words(n));
             let lane = |keys: &[u64], i: usize| {
                 ((keys[i / 4] >> (16 * (i % 4))) & 0xFFFF) >> LANE16_COUNT_SHIFT
             };
-            for (i, row) in rows.iter().enumerate() {
-                assert_eq!(lane(&keys, i), u64::from(row.count_ones()), "n={n} i={i}");
+            for (i, &count) in counts.iter().enumerate() {
+                assert_eq!(lane(&keys, i), u64::from(count), "n={n} i={i}");
             }
             // Decrement a member set (restricted to nonzero lanes, per the
             // kernel contract); only member lanes drop, by exactly 1.

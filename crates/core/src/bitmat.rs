@@ -87,16 +87,16 @@ impl BitMatrix {
         &self.words[start..start + self.words_per_row]
     }
 
-    /// Overwrites `row` from raw words (little-endian bit order, matching
-    /// [`BitMatrix::row_words`]). Bits at or beyond column `n` in the last
-    /// word must be zero — this is the word-parallel ingest path used by the
-    /// simulator to copy VOQ occupancy masks straight into the request
-    /// matrix.
+    /// The words of `row`, mutably, once `words` has been checked as a
+    /// valid replacement row: one word per [`BitMatrix::row_words`] word,
+    /// little-endian bit order, bits at or beyond column `n` zero. This is
+    /// the layout of the simulator's VOQ occupancy masks. The caller writes
+    /// the row itself, so it can diff the old words against the new ones.
     ///
     /// # Panics
     /// Panics if `words.len() != self.words_per_row()` or if a bit beyond
     /// column `n` is set.
-    pub fn set_row_words(&mut self, row: usize, words: &[u64]) {
+    pub(crate) fn row_words_mut(&mut self, row: usize, words: &[u64]) -> &mut [u64] {
         assert!(row < self.n, "row out of range");
         assert_eq!(words.len(), self.words_per_row, "word count mismatch");
         if let Some(&last) = words.last() {
@@ -105,7 +105,20 @@ impl BitMatrix {
             assert_eq!(excess, 0, "bits beyond column n must be zero");
         }
         let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row].copy_from_slice(words);
+        &mut self.words[start..start + self.words_per_row]
+    }
+
+    /// The transpose: bit `(j, i)` of the result is bit `(i, j)` of `self`.
+    /// Word-parallel (64×64-block transposes, see
+    /// [`bitkern::col_masks`](crate::bitkern::col_masks)).
+    pub(crate) fn transposed(&self) -> BitMatrix {
+        let mut words = Vec::new();
+        crate::bitkern::col_masks(&self.words, self.n, &mut words);
+        BitMatrix {
+            n: self.n,
+            words_per_row: self.words_per_row,
+            words,
+        }
     }
 
     #[inline]
@@ -130,6 +143,13 @@ impl BitMatrix {
         } else {
             self.words[w] &= !mask;
         }
+    }
+
+    /// Inverts the bit at `(row, col)`.
+    #[inline]
+    pub(crate) fn toggle(&mut self, row: usize, col: usize) {
+        let (w, mask) = self.index(row, col);
+        self.words[w] ^= mask;
     }
 
     /// Number of set bits in `row`.
@@ -168,13 +188,6 @@ impl BitMatrix {
         self.words[start..start + self.words_per_row].fill(0);
     }
 
-    /// Clears every bit in `col`.
-    pub fn clear_col(&mut self, col: usize) {
-        for row in 0..self.n {
-            self.set(row, col, false);
-        }
-    }
-
     /// Clears the whole matrix.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -193,11 +206,6 @@ impl BitMatrix {
                 0
             },
         }
-    }
-
-    /// Iterates over the row indices of the set bits in `col`, ascending.
-    pub fn col_ones(&self, col: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&i| self.get(i, col))
     }
 
     /// Iterates over all set `(row, col)` positions in row-major order.
@@ -334,15 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_row_and_col() {
+    fn clear_row_and_whole_matrix() {
         let mut m = BitMatrix::from_fn(6, |_, _| true);
         assert_eq!(m.count(), 36);
         m.clear_row(2);
         assert_eq!(m.count(), 30);
         assert!(!m.row_any(2));
-        m.clear_col(4);
-        assert_eq!(m.count(), 25);
-        assert_eq!(m.col_count(4), 0);
+        assert_eq!(m.col_count(4), 5);
         m.clear();
         assert!(m.is_empty());
     }
@@ -358,12 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn col_ones_matches_get() {
-        let m = BitMatrix::from_fn(9, |i, j| (i + j) % 3 == 0);
-        for j in 0..9 {
-            let via_iter: Vec<usize> = m.col_ones(j).collect();
-            let via_get: Vec<usize> = (0..9).filter(|&i| m.get(i, j)).collect();
-            assert_eq!(via_iter, via_get);
+    fn transposed_swaps_every_bit() {
+        for n in [1, 5, 64, 65, 130] {
+            let m = BitMatrix::from_fn(n, |i, j| (i * 7 + j * 3) % 5 == 0);
+            let t = m.transposed();
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(t.get(j, i), m.get(i, j), "n = {n} ({i}, {j})");
+                }
+            }
         }
     }
 

@@ -45,9 +45,8 @@ pub struct Islip {
     // Scratch, reused across slots.
     grant_of_target: Vec<Option<usize>>,
     // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // masks plus three single-mask scratch buffers.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    // grant masks plus three single-mask scratch buffers. The column masks
+    // are the request matrix's kept transpose, borrowed per call.
     grant_mask: Vec<u64>,
     unmatched_in: Vec<u64>,
     unmatched_out: Vec<u64>,
@@ -71,8 +70,6 @@ impl Islip {
             grant_ptr: vec![RoundRobinPointer::new(n); n],
             accept_ptr: vec![RoundRobinPointer::new(n); n],
             grant_of_target: vec![None; n],
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
             grant_mask: vec![0; n * w],
             unmatched_in: vec![0; w],
             unmatched_out: vec![0; w],
@@ -202,7 +199,8 @@ impl Islip {
     }
 
     /// The word-parallel kernel: candidate filtering is a word-wise `AND`
-    /// of a column mask against the unmatched-inputs mask, and each pointer
+    /// of the request matrix's kept column mask against the
+    /// unmatched-inputs mask, and each pointer
     /// scan is a word-walk [`bitkern::rotating_first`] over the
     /// `words_for(n)`-word mask. Produces grant-for-grant identical
     /// matchings (and identical pointer updates) to
@@ -212,8 +210,7 @@ impl Islip {
         let w = bitkern::words_for(n);
         out.reset(n);
         let matching = out;
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
+        let cols = requests.cols().all_words();
         bitkern::mask_fill(&mut self.unmatched_in, n);
         bitkern::mask_fill(&mut self.unmatched_out, n);
 
@@ -230,7 +227,7 @@ impl Islip {
                     let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
                     outs &= outs - 1;
                     for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = self.cols[j * w + k] & self.unmatched_in[k];
+                        *c = cols[j * w + k] & self.unmatched_in[k];
                     }
                     if let Some(i) = bitkern::rotating_first(&self.cand, n, self.grant_ptr[j].pos())
                     {

@@ -91,17 +91,14 @@ pub struct CentralLcf {
     // across slots to keep scheduling allocation-free.
     work: RequestMatrix,
     nrq: Vec<usize>,
-    // Word-parallel scratch (bitset backend): the *original* request matrix
-    // as flat `n × words_for(n)` row masks and its transpose as column
-    // masks — neither is mutated during a schedule; grants are tracked in
-    // the `free` (unmatched requesters) and `remaining` (unscheduled
-    // resources) masks instead, with `cand` holding the per-resource
-    // candidate set.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    // Word-parallel scratch (bitset backend). The request matrix's kept
+    // rows, columns and NRQ are borrowed, never copied or mutated: grants
+    // are tracked in `free` (unmatched requesters) and the NRQ the resource
+    // loop decrements in `nrq_work`, seeded from the kept counts each call.
+    // `cand` holds the column policy's candidate set.
     free: Vec<u64>,
-    remaining: Vec<u64>,
     cand: Vec<u64>,
+    nrq_work: Vec<u32>,
     // Single-word fast path (n <= 64): the NRQ table as packed 16-bit
     // lanes, consumed by the word-parallel min kernel, plus the
     // construction-time rotation-position table it scans against.
@@ -138,11 +135,9 @@ impl CentralLcf {
             backend: Backend::default(),
             work: RequestMatrix::new(n),
             nrq: vec![0; n],
-            rows: Vec::with_capacity(n * bitkern::words_for(n)),
-            cols: Vec::with_capacity(n * bitkern::words_for(n)),
             free: Vec::with_capacity(bitkern::words_for(n)),
-            remaining: Vec::with_capacity(bitkern::words_for(n)),
             cand: Vec::with_capacity(bitkern::words_for(n)),
+            nrq_work: Vec::with_capacity(n),
             keys16: Vec::with_capacity(if n <= 64 { bitkern::lane16_words(n) } else { 0 }),
             rot16: if n <= 64 {
                 bitkern::lane16_rot_table(n)
@@ -356,125 +351,113 @@ impl CentralLcf {
 
     /// The word-parallel kernel: the same Fig. 2 algorithm on multi-word
     /// row masks (`words_for(n)` words per requester, bit `j % 64` of word
-    /// `j / 64`) plus the transposed column masks. Produces grant-for-grant
-    /// identical schedules to [`CentralLcf::schedule_scalar`].
+    /// `j / 64`) plus the request matrix's kept column masks. Produces
+    /// grant-for-grant identical schedules to
+    /// [`CentralLcf::schedule_scalar`].
     ///
-    /// Unlike the scalar reference (and the earlier bitset kernel), the
-    /// row/column masks are *never mutated*: a grant only clears one bit in
-    /// `free` (unmatched requesters) and one in `remaining` (unscheduled
-    /// resources). The live requesters of a resource are
-    /// `cols[resource] & free` — exactly the set the old per-bit row
-    /// withdrawal maintained, because withdrawal removed precisely the
-    /// matched requesters' bits. The NRQ key is evaluated lazily per
-    /// candidate as `popcount(rows[req] & remaining)`, which equals the
-    /// maintained count: NRQ decrements happened only for *granted*
-    /// resources (a resource processed without a grant has no unmatched
-    /// requester, so it never contributes to a later candidate's count),
-    /// and `remaining` excludes exactly the granted resources. Enumeration
-    /// order (rotating from the diagonal requester) and the strict-minimum
-    /// tie-break are unchanged, so every grant is identical. This turns the
-    /// two `O(set bits)` per-grant update loops into two `clear_bit` calls,
-    /// which is what makes dense heavy-traffic matrices cheap.
+    /// The request matrix is only read: a grant clears one bit in `free`
+    /// (unmatched requesters), so the live requesters of a resource are
+    /// `cols[resource] & free` — exactly the set the scalar kernel's row
+    /// withdrawal leaves in the resource's column. NRQ starts from the
+    /// matrix's kept counts, and each resource costs one pass over its
+    /// live requesters ([`bitkern::min_count_rotating_grant`]): the pass
+    /// takes the least-NRQ requester, ties broken in rotating order from
+    /// the diagonal requester, and applies the grant's NRQ decrement to
+    /// every live requester. A non-empty candidate set always yields a
+    /// grant (the round-robin fast paths only choose a different winner),
+    /// so the decrement is the scalar update for every grant; a resource
+    /// with no live requester decrements nothing, as in the scalar kernel.
     fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         let n = self.n;
         let w = bitkern::words_for(n);
         if w == 1 {
             return self.schedule_bitset_word(requests, out);
         }
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
+        let i_off = self.pointer.i;
+        let (rows, cols) = (requests.bits(), requests.cols());
 
         out.reset(n);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
         self.free.clear();
         self.free.resize(w, 0);
         bitkern::mask_fill(&mut self.free, n);
-        self.remaining.clear();
-        self.remaining.resize(w, 0);
-        bitkern::mask_fill(&mut self.remaining, n);
-        self.cand.clear();
-        self.cand.resize(w, 0);
+        self.nrq_work.clear();
+        self.nrq_work.extend_from_slice(requests.nrq_counts());
 
         if self.policy == RrPolicy::PriorityDiagonal {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
-                if bitkern::test_bit(&self.rows[di * w..(di + 1) * w], dj)
-                    && bitkern::test_bit(&self.free, di)
-                    && !out.output_matched(dj)
+                if rows.get(di, dj) && bitkern::test_bit(&self.free, di) && !out.output_matched(dj)
                 {
                     out.connect(di, dj);
+                    let col = cols.row_words(dj);
+                    bitkern::min_count_rotating_grant(col, &self.free, n, di, &mut self.nrq_work);
                     bitkern::clear_bit(&mut self.free, di);
-                    bitkern::clear_bit(&mut self.remaining, dj);
                 }
             }
         }
 
         for res in 0..n {
-            let resource = (res + j_off) % n;
+            let (diag_req, resource) = self.pointer.diagonal_position(res);
             if out.output_matched(resource) {
                 continue;
             }
-            let diag_req = (i_off + res) % n;
+            // Live requesters of this resource: the kept column masked to
+            // the still-unmatched inputs.
+            let col = cols.row_words(resource);
+            let live =
+                |req: usize| bitkern::test_bit(col, req) && bitkern::test_bit(&self.free, req);
 
-            // Live requesters of this resource: the original column masked
-            // to the still-unmatched inputs.
-            for wi in 0..w {
-                self.cand[wi] = self.cols[resource * w + wi] & self.free[wi];
-            }
-
-            let gnt: Option<usize> = match self.policy {
-                RrPolicy::Diagonal if bitkern::test_bit(&self.cand, diag_req) => Some(diag_req),
-                RrPolicy::SinglePosition if res == 0 && bitkern::test_bit(&self.cand, i_off) => {
-                    Some(i_off)
+            let rr: Option<usize> = match self.policy {
+                RrPolicy::Diagonal if live(diag_req) => Some(diag_req),
+                RrPolicy::SinglePosition if res == 0 && live(i_off) => Some(i_off),
+                RrPolicy::Row if live(i_off) => Some(i_off),
+                RrPolicy::Column if res == 0 => {
+                    self.cand.clear();
+                    self.cand
+                        .extend(col.iter().zip(&self.free).map(|(c, f)| c & f));
+                    bitkern::rotating_first(&self.cand, n, diag_req)
                 }
-                RrPolicy::Row if bitkern::test_bit(&self.cand, i_off) => Some(i_off),
-                RrPolicy::Column if res == 0 => bitkern::rotating_first(&self.cand, n, diag_req),
-                // Smallest NRQ among the live requesters; the rotating
-                // enumeration from the diagonal requester breaks ties
-                // exactly like the scalar scan.
-                _ => bitkern::min_overlap_rotating(
-                    &self.cand,
-                    n,
-                    diag_req,
-                    &self.rows,
-                    &self.remaining,
-                ),
+                _ => None,
             };
+            // Smallest NRQ among the live requesters, ties broken in
+            // rotating order from the diagonal requester; the same pass
+            // applies this resource's NRQ decrement.
+            let lcf =
+                bitkern::min_count_rotating_grant(col, &self.free, n, diag_req, &mut self.nrq_work);
 
-            if let Some(gnt) = gnt {
+            if let Some(gnt) = rr.or(lcf) {
                 out.connect(gnt, resource);
                 bitkern::clear_bit(&mut self.free, gnt);
-                bitkern::clear_bit(&mut self.remaining, resource);
             }
         }
     }
 
     /// Single-word specialization of [`CentralLcf::schedule_bitset`]
     /// (`n <= 64`): every mask is one `u64` and the NRQ table lives in
-    /// packed 16-bit lanes, maintained by a word-parallel decrement on each
-    /// grant and scanned by [`bitkern::min_lane16_rotating`] — no
-    /// per-candidate loop runs anywhere in the schedule, so even a fully
-    /// dense heavy-traffic matrix costs `O(n · n/4)` word operations
-    /// instead of `Θ(n²/2)` per-bit probes. The maintained lane counts
-    /// track the scalar algorithm exactly: a grant decrements precisely the
-    /// live requesters of the granted resource (the old per-bit NRQ
-    /// update), and matched requesters' stale lanes are masked out of every
-    /// later scan by the `free` mask.
+    /// packed 16-bit lanes, seeded from the matrix's kept counts,
+    /// maintained by a word-parallel decrement on each grant and scanned by
+    /// [`bitkern::min_lane16_rotating`] — no per-candidate loop runs
+    /// anywhere in the schedule, so even a fully dense heavy-traffic matrix
+    /// costs `O(n · n/4)` word operations instead of `Θ(n²/2)` per-bit
+    /// probes. The lane counts track the scalar algorithm exactly: a grant
+    /// decrements precisely the live requesters of the granted resource
+    /// (the old per-bit NRQ update), and matched requesters' stale lanes
+    /// are masked out of every later scan by the `free` mask.
     fn schedule_bitset_word(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         let n = self.n;
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
+        let i_off = self.pointer.i;
+        let rows = requests.bits().all_words();
+        let cols = requests.cols().all_words();
 
         out.reset(n);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
-        bitkern::lane16_pack_popcounts(&self.rows, n, &mut self.keys16);
+        bitkern::lane16_pack_counts(requests.nrq_counts(), n, &mut self.keys16);
         let mut free: u64 = bitkern::mask_n(n);
 
         if self.policy == RrPolicy::PriorityDiagonal {
             for res in 0..n {
                 let (di, dj) = self.pointer.diagonal_position(res);
-                if self.rows[di] >> dj & 1 == 1 && free >> di & 1 == 1 && !out.output_matched(dj) {
-                    let colfree = self.cols[dj] & free;
+                if rows[di] >> dj & 1 == 1 && free >> di & 1 == 1 && !out.output_matched(dj) {
+                    let colfree = cols[dj] & free;
                     out.connect(di, dj);
                     free &= !(1u64 << di);
                     bitkern::lane16_decrement(&mut self.keys16, colfree);
@@ -483,14 +466,13 @@ impl CentralLcf {
         }
 
         for res in 0..n {
-            let resource = (res + j_off) % n;
+            let (diag_req, resource) = self.pointer.diagonal_position(res);
             if out.output_matched(resource) {
                 continue;
             }
-            let diag_req = (i_off + res) % n;
-            // Live requesters of this resource: the original column masked
-            // to the still-unmatched inputs.
-            let cand = self.cols[resource] & free;
+            // Live requesters of this resource: the kept column masked to
+            // the still-unmatched inputs.
+            let cand = cols[resource] & free;
 
             let gnt: Option<usize> = match self.policy {
                 RrPolicy::Diagonal if cand >> diag_req & 1 == 1 => Some(diag_req),

@@ -48,11 +48,10 @@ pub struct DistributedLcf {
     nrq: Vec<usize>,
     ngt: Vec<usize>,
     grant_of_target: Vec<Option<usize>>,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)` row,
-    // column and per-input grant masks, `planes_for(n)` bit-planes each for
-    // NRQ (over requesters) and NGT (over targets), and single masks.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
+    // per-input grant masks, `planes_for(n)` bit-planes each for NRQ (over
+    // requesters) and NGT (over targets), and single masks. The row and
+    // column masks are the request matrix's own, borrowed per call.
     grant_mask: Vec<u64>,
     nrq_planes: Vec<u64>,
     ngt_planes: Vec<u64>,
@@ -91,8 +90,6 @@ impl DistributedLcf {
             nrq: vec![0; n],
             ngt: vec![0; n],
             grant_of_target: vec![None; n],
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
             grant_mask: vec![0; n * w],
             nrq_planes: vec![0; planes * w],
             ngt_planes: vec![0; planes * w],
@@ -295,11 +292,9 @@ impl DistributedLcf {
     fn bitset_pass(&mut self, w: usize, requests: &RequestMatrix, matching: &mut Matching) {
         let n = self.n;
         let (rotation, pre_i) = (self.rotation, self.pointer.i);
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
         // Local slices, so the body below reads no `self` fields.
-        let rows = &self.rows[..];
-        let cols = &self.cols[..];
+        let rows = requests.bits().all_words();
+        let cols = requests.cols().all_words();
         let grant_mask = &mut self.grant_mask[..];
         let nrq_planes = &mut self.nrq_planes[..];
         let ngt_planes = &mut self.ngt_planes[..];

@@ -33,9 +33,9 @@ pub struct Pim {
     candidates: Vec<usize>,
     trace: IterationTrace,
     // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // masks plus per-port candidate and unmatched scratch masks.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
+    // grant masks plus per-port candidate and unmatched scratch masks. The
+    // column masks are the request matrix's kept transpose, borrowed per
+    // call.
     grant_mask: Vec<u64>,
     unmatched_in: Vec<u64>,
     unmatched_out: Vec<u64>,
@@ -57,8 +57,6 @@ impl Pim {
             grant_of_target: vec![None; n],
             candidates: Vec::with_capacity(n),
             trace: IterationTrace::default(),
-            rows: Vec::with_capacity(n * w),
-            cols: Vec::with_capacity(n * w),
             grant_mask: vec![0; n * w],
             unmatched_in: vec![0; w],
             unmatched_out: vec![0; w],
@@ -184,8 +182,7 @@ impl Pim {
         let w = bitkern::words_for(n);
         out.reset(n);
         let matching = out;
-        bitkern::load_rows(requests.bits(), &mut self.rows);
-        bitkern::col_masks(&self.rows, n, &mut self.cols);
+        let cols = requests.cols().all_words();
         bitkern::mask_fill(&mut self.unmatched_in, n);
         bitkern::mask_fill(&mut self.unmatched_out, n);
 
@@ -202,7 +199,7 @@ impl Pim {
                     let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
                     outs &= outs - 1;
                     for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = self.cols[j * w + k] & self.unmatched_in[k];
+                        *c = cols[j * w + k] & self.unmatched_in[k];
                     }
                     let count = bitkern::popcount(&self.cand);
                     if count > 0 {

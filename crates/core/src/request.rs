@@ -8,16 +8,45 @@ use rand::Rng;
 ///
 /// This is the `R` array of the paper's Fig. 2 pseudocode. In the switch
 /// model it is derived from VOQ occupancy: one bit per virtual output queue.
+///
+/// Besides the row-major bits the matrix keeps three things exact under
+/// every mutator: its transpose ([`RequestMatrix::cols`]), the per-row
+/// request count NRQ and the per-column count NGT. A mutator pays for the
+/// bits it changes, so a caller that edits the matrix only where requests
+/// appear or vanish (the switch does so at VOQ empty↔nonempty transitions)
+/// keeps all three current at no per-slot cost, and the kernels read them
+/// instead of rebuilding them on every call.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RequestMatrix {
-    bits: BitMatrix,
+    rows: BitMatrix,
+    cols: BitMatrix,
+    nrq: Vec<u32>,
+    ngt: Vec<u32>,
+}
+
+/// Sets bit `(r, c)` of `m` to `value`, moving `counts[r]` with it.
+/// The bit must currently differ from `value`. Branch-free, because
+/// [`RequestMatrix::set_row_words`] flips bits in no predictable order.
+#[inline]
+fn flip(m: &mut BitMatrix, counts: &mut [u32], r: usize, c: usize, value: bool) {
+    m.toggle(r, c);
+    bump(&mut counts[r], value);
+}
+
+/// Adds 1 to `count` if `up`, else subtracts 1.
+#[inline]
+fn bump(count: &mut u32, up: bool) {
+    *count = *count + u32::from(up) - u32::from(!up);
 }
 
 impl RequestMatrix {
     /// Creates an empty request matrix for an `n`-port switch.
     pub fn new(n: usize) -> Self {
         RequestMatrix {
-            bits: BitMatrix::new(n),
+            rows: BitMatrix::new(n),
+            cols: BitMatrix::new(n),
+            nrq: vec![0; n],
+            ngt: vec![0; n],
         }
     }
 
@@ -32,9 +61,7 @@ impl RequestMatrix {
 
     /// Builds a matrix from a predicate over `(requester, resource)`.
     pub fn from_fn(n: usize, f: impl FnMut(usize, usize) -> bool) -> Self {
-        RequestMatrix {
-            bits: BitMatrix::from_fn(n, f),
-        }
+        RequestMatrix::from(BitMatrix::from_fn(n, f))
     }
 
     /// A matrix with every request set (worst-case scheduler input).
@@ -52,97 +79,182 @@ impl RequestMatrix {
     /// Number of ports.
     #[inline]
     pub fn n(&self) -> usize {
-        self.bits.n()
+        self.rows.n()
     }
 
     /// Whether requester `i` requests resource `j`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> bool {
-        self.bits.get(i, j)
+        self.rows.get(i, j)
     }
 
-    /// Sets or clears request `(i, j)`.
+    /// Sets or clears request `(i, j)`. O(1); a no-op if the bit already
+    /// holds `value`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, value: bool) {
-        self.bits.set(i, j, value);
+        if self.rows.get(i, j) != value {
+            flip(&mut self.rows, &mut self.nrq, i, j, value);
+            flip(&mut self.cols, &mut self.ngt, j, i, value);
+        }
     }
 
     /// NRQ of the paper: the number of resources requester `i` requests.
     #[inline]
     pub fn nrq(&self, i: usize) -> usize {
-        self.bits.row_count(i)
+        self.nrq[i] as usize
     }
 
     /// The number of requesters requesting resource `j` (the distributed
     /// scheduler's NGT before any matches are removed).
     #[inline]
     pub fn ngt(&self, j: usize) -> usize {
-        self.bits.col_count(j)
+        self.ngt[j] as usize
+    }
+
+    /// Every requester's NRQ, indexed by requester.
+    #[inline]
+    pub fn nrq_counts(&self) -> &[u32] {
+        &self.nrq
     }
 
     /// Total number of requests.
     pub fn count(&self) -> usize {
-        self.bits.count()
+        self.nrq.iter().map(|&c| c as usize).sum()
     }
 
     /// True if nobody requests anything.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.nrq.iter().all(|&c| c == 0)
     }
 
     /// True if requester `i` has at least one request.
     pub fn requester_active(&self, i: usize) -> bool {
-        self.bits.row_any(i)
+        self.nrq[i] > 0
     }
 
     /// Iterates over the resources requested by requester `i`, ascending.
     pub fn row_ones(&self, i: usize) -> crate::bitmat::RowOnes<'_> {
-        self.bits.row_ones(i)
+        self.rows.row_ones(i)
     }
 
     /// Iterates over the requesters of resource `j`, ascending.
-    pub fn col_ones(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
-        self.bits.col_ones(j)
+    pub fn col_ones(&self, j: usize) -> crate::bitmat::RowOnes<'_> {
+        self.cols.row_ones(j)
     }
 
     /// Iterates over all `(requester, resource)` requests in row-major order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.bits.ones()
+        self.rows.ones()
     }
 
-    /// Removes every request issued by requester `i`.
+    /// Removes every request issued by requester `i`. O(requests removed).
     pub fn clear_requester(&mut self, i: usize) {
-        self.bits.clear_row(i);
+        for j in self.rows.row_ones(i) {
+            flip(&mut self.cols, &mut self.ngt, j, i, false);
+        }
+        self.rows.clear_row(i);
+        self.nrq[i] = 0;
     }
 
-    /// Removes every request for resource `j`.
+    /// Removes every request for resource `j`. O(requests removed).
     pub fn clear_resource(&mut self, j: usize) {
-        self.bits.clear_col(j);
+        for i in self.cols.row_ones(j) {
+            flip(&mut self.rows, &mut self.nrq, i, j, false);
+        }
+        self.cols.clear_row(j);
+        self.ngt[j] = 0;
     }
 
-    /// Access to the underlying bit matrix.
+    /// The request bits, one row per requester.
     pub fn bits(&self) -> &BitMatrix {
-        &self.bits
+        &self.rows
     }
 
-    /// Replaces requester `i`'s whole row from packed occupancy words — the
-    /// word-parallel ingest path used by the simulator's slot loop (see
-    /// [`BitMatrix::set_row_words`] for the layout contract).
-    #[inline]
+    /// The kept transpose, one row per resource: row `j` holds the
+    /// requesters of resource `j` (the column masks the kernels scan).
+    pub fn cols(&self) -> &BitMatrix {
+        &self.cols
+    }
+
+    /// Replaces requester `i`'s whole row from packed words: bit `j % 64`
+    /// of word `j / 64` is request `(i, j)`, the [`BitMatrix::row_words`]
+    /// layout, with bits at or beyond `n` zero. The old row is diffed
+    /// against the new one, so the transpose and counts pay only for the
+    /// bits that changed.
+    ///
+    /// # Panics
+    /// Panics if `words` is not one row of words or sets a bit beyond `n`.
     pub fn set_row_words(&mut self, i: usize, words: &[u64]) {
-        self.bits.set_row_words(i, words);
+        let row = self.rows.row_words_mut(i, words);
+        for (wi, (old, &new)) in row.iter_mut().zip(words).enumerate() {
+            let mut diff = *old ^ new;
+            *old = new;
+            while diff != 0 {
+                let bit = diff.trailing_zeros() as usize;
+                diff &= diff - 1;
+                let value = new >> bit & 1 == 1;
+                flip(&mut self.cols, &mut self.ngt, wi * 64 + bit, i, value);
+                bump(&mut self.nrq[i], value);
+            }
+        }
     }
 
     /// Copies `other` into `self` without reallocating (see
     /// [`BitMatrix::copy_from`]).
     pub fn copy_from(&mut self, other: &RequestMatrix) {
-        self.bits.copy_from(&other.bits);
+        self.rows.copy_from(&other.rows);
+        self.cols.copy_from(&other.cols);
+        self.nrq.copy_from_slice(&other.nrq);
+        self.ngt.copy_from_slice(&other.ngt);
+    }
+
+    /// Recounts the kept transpose, NRQ and NGT from the row bits and
+    /// reports the first disagreement. O(n²/64) word operations plus an
+    /// allocation: a checker for tests and checked debug builds, not for
+    /// the slot loop proper.
+    pub fn check_kept_state(&self) -> Result<(), String> {
+        let n = self.n();
+        let cols = self.rows.transposed();
+        for j in 0..n {
+            if self.cols.row_words(j) != cols.row_words(j) {
+                return Err(format!("kept column {j} differs from the transposed rows"));
+            }
+            let ngt = cols.row_count(j);
+            if self.ngt(j) != ngt {
+                return Err(format!(
+                    "kept NGT[{j}] = {} but the rows hold {ngt}",
+                    self.ngt[j]
+                ));
+            }
+        }
+        for i in 0..n {
+            let nrq = self.rows.row_count(i);
+            if self.nrq(i) != nrq {
+                return Err(format!(
+                    "kept NRQ[{i}] = {} but row {i} holds {nrq}",
+                    self.nrq[i]
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
 impl From<BitMatrix> for RequestMatrix {
-    fn from(bits: BitMatrix) -> Self {
-        RequestMatrix { bits }
+    fn from(rows: BitMatrix) -> Self {
+        let n = rows.n();
+        let cols = rows.transposed();
+        let count = |m: &BitMatrix| -> Vec<u32> {
+            (0..n)
+                .map(|r| m.row_words(r).iter().map(|w| w.count_ones()).sum())
+                .collect()
+        };
+        RequestMatrix {
+            nrq: count(&rows),
+            ngt: count(&cols),
+            rows,
+            cols,
+        }
     }
 }
 
@@ -220,6 +332,46 @@ mod tests {
         let m = RequestMatrix::random(64, 0.5, &mut rng);
         let density = m.count() as f64 / (64.0 * 64.0);
         assert!((0.4..0.6).contains(&density), "density was {density}");
+    }
+
+    /// Every mutator keeps the transpose and both count tables exact, on
+    /// both sides of a word boundary (small sizes, so it also runs under
+    /// Miri).
+    #[test]
+    fn kept_state_follows_every_mutator() {
+        for n in [3, 65] {
+            let mut m = RequestMatrix::from_pairs(n, [(0, 1), (1, 1), (2, n - 1)]);
+            assert_eq!(m.check_kept_state(), Ok(()));
+            assert_eq!(m.col_ones(1).collect::<Vec<_>>(), vec![0, 1]);
+            m.set(2, 1, true);
+            m.set(0, 1, false);
+            m.set(0, 1, false); // a no-op leaves the counts alone
+            assert_eq!((m.nrq(0), m.ngt(1)), (0, 2));
+            assert_eq!(m.check_kept_state(), Ok(()));
+            let mut row = vec![0u64; n.div_ceil(64)];
+            row[0] = 0b11;
+            row[(n - 1) / 64] |= 1 << ((n - 1) % 64);
+            m.set_row_words(1, &row);
+            assert_eq!(m.nrq(1), 3);
+            assert_eq!(m.check_kept_state(), Ok(()));
+            m.clear_resource(n - 1);
+            assert_eq!((m.ngt(n - 1), m.nrq(1), m.nrq(2)), (0, 2, 1));
+            assert_eq!(m.check_kept_state(), Ok(()));
+            m.clear_requester(1);
+            assert_eq!((m.nrq(1), m.ngt(0)), (0, 0));
+            assert_eq!(m.check_kept_state(), Ok(()));
+            let mut copy = RequestMatrix::full(n);
+            copy.copy_from(&m);
+            assert_eq!(copy, m);
+            assert_eq!(RequestMatrix::from(m.bits().clone()), m);
+        }
+    }
+
+    #[test]
+    fn check_kept_state_reports_a_stale_count() {
+        let mut m = RequestMatrix::from_pairs(4, [(0, 1), (2, 1)]);
+        m.ngt[1] = 1;
+        assert!(m.check_kept_state().unwrap_err().contains("NGT[1]"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! sequence, at any port count. Port counts within one word are covered by
 //! the proptests; the multi-word path (n > 64) by the deterministic
 //! `large_n_*` tests below, which sweep n ∈ {65, 128, 192, 256} across word
-//! boundaries.
+//! boundaries, on fresh matrices and on one matrix edited in place from
+//! slot to slot the way the switch edits its own.
 
 use lcf_core::bitkern::Backend;
 use lcf_core::islip::Islip;
@@ -18,7 +19,7 @@ use lcf_core::traits::Scheduler;
 use lcf_core::wavefront::Wavefront;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const ALL_POLICIES: [RrPolicy; 6] = [
     RrPolicy::None,
@@ -221,8 +222,9 @@ fn bitset_backend_stays_word_parallel_above_word_width() {
 /// exactly four words.
 const LARGE_NS: [usize; 4] = [65, 128, 192, 256];
 
-/// Densities bracketing sparse and contended request matrices.
-const LARGE_DENSITIES: [f64; 2] = [0.25, 0.75];
+/// Densities bracketing sparse and contended request matrices, plus the
+/// ~2.4% measured on the n = 256, load 0.9 switch (`wide256`).
+const LARGE_DENSITIES: [f64; 3] = [0.024, 0.25, 0.75];
 
 /// Like `assert_equivalent`, but drives the allocation-free `schedule_into`
 /// entry point with output buffers that are deliberately dirty before the
@@ -372,6 +374,79 @@ fn large_n_registry_backends_agree_and_report_as_requested() {
                 &matrices,
                 &format!("{kind} n={n}"),
             );
+        }
+    }
+}
+
+/// Every bitset kernel against its scalar reference on *one* request
+/// matrix edited in place between slots, as the switch edits its own at VOQ
+/// transitions: granted requests drain away (their VOQ empties) and random
+/// requests appear or vanish, so the kept columns and counts are exercised
+/// through long runs of small edits rather than rebuilt from scratch. More
+/// than `n` consecutive slots run at n = 65, so the central pointer's `J`
+/// advances as well as its `I`.
+#[test]
+fn large_n_evolving_matrix_kernels_match_scalar() {
+    type Make = Box<dyn Fn(usize, Backend) -> Box<dyn Scheduler + Send>>;
+    let mut kernels: Vec<(String, Make)> = ALL_POLICIES
+        .iter()
+        .map(|&policy| {
+            let make: Make =
+                Box::new(move |n, b| Box::new(CentralLcf::with_policy(n, policy).with_backend(b)));
+            (format!("lcf_central {policy:?}"), make)
+        })
+        .collect();
+    kernels.push((
+        "islip".into(),
+        Box::new(|n, b| Box::new(Islip::new(n, 4).with_backend(b))),
+    ));
+    kernels.push((
+        "pim".into(),
+        Box::new(|n, b| Box::new(Pim::new(n, 4, 42).with_backend(b))),
+    ));
+    kernels.push((
+        "lcf_dist".into(),
+        Box::new(|n, b| distributed(n, 4, false, b)),
+    ));
+    kernels.push((
+        "lcf_dist_rr".into(),
+        Box::new(|n, b| distributed(n, 4, true, b)),
+    ));
+    kernels.push((
+        "wfront".into(),
+        Box::new(|n, b| Box::new(Wavefront::new(n).with_backend(b))),
+    ));
+
+    for (n, slots) in [(65, 2 * 65 + 3), (256, 24)] {
+        for density in LARGE_DENSITIES {
+            for (name, make) in &kernels {
+                let mut scalar = make(n, Backend::Scalar);
+                let mut bitset = make(n, Backend::Bitset);
+                let mut rng = StdRng::seed_from_u64(0xE70 ^ n as u64);
+                let mut requests = RequestMatrix::random(n, density, &mut rng);
+                let (mut out_a, mut out_b) = (Matching::new(n), Matching::new(n));
+                for slot in 0..slots {
+                    scalar.schedule_into(&requests, &mut out_a);
+                    bitset.schedule_into(&requests, &mut out_b);
+                    let a: Vec<_> = out_a.pairs().collect();
+                    assert_eq!(
+                        a,
+                        out_b.pairs().collect::<Vec<_>>(),
+                        "{name} n={n} d={density} diverged at slot {slot}"
+                    );
+                    // Served requests drain with probability 1/2; then
+                    // random positions are redrawn at the target density.
+                    for (i, j) in a {
+                        if rng.gen_bool(0.5) {
+                            requests.set(i, j, false);
+                        }
+                    }
+                    for _ in 0..2 * n {
+                        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        requests.set(i, j, rng.gen_bool(density));
+                    }
+                }
+            }
         }
     }
 }

@@ -139,8 +139,8 @@ pub struct VoqSet {
     total: usize,
     // Occupancy bitmap, 64 destinations per word: bit (dst % 64) of word
     // (dst / 64) is set iff the VOQ for dst is non-empty. Maintained on
-    // push/pop so the simulator can build the scheduler's request row with
-    // one word copy instead of n probes.
+    // push/pop; it is the request row the scheduler sees, which the
+    // slot-loop checker compares against the switch's request matrix.
     occupancy: Vec<u64>,
 }
 
@@ -272,7 +272,7 @@ impl VoqSet {
     /// The occupancy bitmap, 64 destinations per word: bit `dst % 64` of
     /// word `dst / 64` is set iff [`VoqSet::has_packet_for`]`(dst)`. This is
     /// exactly the request row the scheduler sees, in the packed layout of
-    /// `lcf_core::bitmat::BitMatrix::set_row_words`.
+    /// `lcf_core::request::RequestMatrix::set_row_words`.
     #[inline]
     pub fn occupancy_words(&self) -> &[u64] {
         &self.occupancy

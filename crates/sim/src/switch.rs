@@ -63,6 +63,32 @@ enum InputQueues {
     Fifo(Vec<BoundedFifo>),
 }
 
+/// Slot-loop invariant check of the request matrix the switch keeps at
+/// buffer transitions: each row must equal its input's occupancy (the
+/// VOQ set's occupancy words, or the FIFO head's destination), and the
+/// matrix's kept columns and counts must equal a recount.
+#[cfg(all(feature = "check-invariants", debug_assertions))]
+fn check_requests(requests: &RequestMatrix, inputs: &InputQueues) {
+    for i in 0..requests.n() {
+        let row = requests.bits();
+        let matches = match inputs {
+            InputQueues::Voq(v) => row.row_words(i) == v[i].occupancy_words(),
+            InputQueues::Fifo(f) => match f[i].head() {
+                Some(head) => row.row_count(i) == 1 && row.get(i, head.dst_idx()),
+                None => row.row_count(i) == 0,
+            },
+        };
+        assert!(
+            matches,
+            "slot loop: request row {i} differs from its input buffer"
+        );
+    }
+    if let Err(e) = requests.check_kept_state() {
+        // lint:allow(no-panic): invariant checker aborts on a broken request matrix
+        panic!("slot loop: {e}");
+    }
+}
+
 /// What a weighted scheduler's weights mean (see
 /// [`IqSwitch::new_weighted`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -390,12 +416,16 @@ impl IqSwitch {
 
         // 2. Spill PQ -> input buffers, head-first while space permits. The
         //    queue-mode match is hoisted out of the loop, and inputs with an
-        //    empty PQ skip the scan entirely.
+        //    empty PQ skip the scan entirely. The request matrix follows
+        //    the buffers at their transitions: a request appears when a
+        //    VOQ becomes non-empty, or when an empty FIFO gets a head.
+        let requests = &mut self.requests;
         match &mut self.inputs {
             InputQueues::Voq(v) => {
-                for (pq, set) in self.pqs.iter_mut().zip(v.iter_mut()) {
+                for (i, (pq, set)) in self.pqs.iter_mut().zip(v.iter_mut()).enumerate() {
                     while let Some(head) = pq.head() {
-                        if !set.has_room_for(head.dst_idx()) {
+                        let dst = head.dst_idx();
+                        if !set.has_room_for(dst) {
                             break;
                         }
                         let Some(p) = pq.pop() else {
@@ -403,11 +433,15 @@ impl IqSwitch {
                         };
                         let pushed = set.push(p);
                         debug_assert!(pushed, "room was checked before the pop");
+                        if set.len_for(dst) == 1 {
+                            requests.set(i, dst, true);
+                        }
                     }
                 }
             }
             InputQueues::Fifo(f) => {
-                for (pq, fifo) in self.pqs.iter_mut().zip(f.iter_mut()) {
+                for (i, (pq, fifo)) in self.pqs.iter_mut().zip(f.iter_mut()).enumerate() {
+                    let was_empty = fifo.is_empty();
                     while !pq.is_empty() && !fifo.is_full() {
                         let Some(p) = pq.pop() else {
                             break; // unreachable: emptiness was checked above
@@ -415,35 +449,20 @@ impl IqSwitch {
                         let pushed = fifo.push(p);
                         debug_assert!(pushed, "room was checked before the pop");
                     }
+                    if let (true, Some(head)) = (was_empty, fifo.head()) {
+                        requests.set(i, head.dst_idx(), true);
+                    }
                 }
             }
         }
+        #[cfg(all(feature = "check-invariants", debug_assertions))]
+        check_requests(&self.requests, &self.inputs);
 
-        // 3. Build the request (or weight) matrix from buffer occupancy,
-        //    then schedule into the reused matching buffer (hot-path memory
-        //    contract: no per-slot allocation).
+        // 3. Schedule the request (or weight) matrix into the reused
+        //    matching buffer (hot-path memory contract: no per-slot
+        //    allocation).
         match &mut self.engine {
             Engine::Boolean(scheduler) => {
-                match &self.inputs {
-                    // Word-parallel ingest: each VOQ set maintains its
-                    // occupancy bitmap incrementally, so a request row is a
-                    // word copy instead of n probes.
-                    InputQueues::Voq(v) => {
-                        for (i, set) in v.iter().enumerate() {
-                            self.requests.set_row_words(i, set.occupancy_words());
-                        }
-                    }
-                    InputQueues::Fifo(f) => {
-                        for (i, fifo) in f.iter().enumerate() {
-                            for j in 0..n {
-                                self.requests.set(i, j, false);
-                            }
-                            if let Some(head) = fifo.head() {
-                                self.requests.set(i, head.dst_idx(), true);
-                            }
-                        }
-                    }
-                }
                 scheduler.schedule_into(&self.requests, &mut self.last_matching);
                 // Slot-loop invariant check at the Matching seam: every
                 // matching the engine acts on must be conflict-free and
@@ -497,12 +516,31 @@ impl IqSwitch {
                 debug_assert!(self.last_matching.is_conflict_free());
             }
         }
+        // 4. Transfer. A request vanishes when its VOQ empties; in FIFO
+        //    mode the request moves when the head's destination changes.
         let matching = &self.last_matching;
         let inputs = &mut self.inputs;
+        let requests = &mut self.requests;
         for (i, j) in matching.pairs() {
             let p = match inputs {
-                InputQueues::Voq(v) => v[i].pop_for(j),
-                InputQueues::Fifo(f) => f[i].pop(),
+                InputQueues::Voq(v) => {
+                    let p = v[i].pop_for(j);
+                    if !v[i].has_packet_for(j) {
+                        requests.set(i, j, false);
+                    }
+                    p
+                }
+                InputQueues::Fifo(f) => {
+                    let p = f[i].pop();
+                    let next = f[i].head().map(Packet::dst_idx);
+                    if next != Some(j) {
+                        requests.set(i, j, false);
+                        if let Some(dst) = next {
+                            requests.set(i, dst, true);
+                        }
+                    }
+                    p
+                }
             }
             // lint:allow(no-panic): grant ⊆ request is checked above, so the granted queue is non-empty
             .expect("scheduler granted an empty queue");
