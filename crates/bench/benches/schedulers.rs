@@ -63,9 +63,14 @@ fn bench_schedulers(c: &mut Criterion) {
 }
 
 /// Scalar vs word-parallel kernels for every scheduler that has both, at
-/// n = 8..256 (multi-word masks above 64). The bitset kernels are the
-/// production default; the scalar reference is what the paper's Fig. 2
-/// pseudocode transliterates to.
+/// n = 8..256 (multi-word masks above 64) and density 0.5. The bitset
+/// kernels are the production default; the scalar reference is what the
+/// paper's Fig. 2 pseudocode transliterates to.
+///
+/// A sparse point, density 0.024 at n = 128 and 256 (ids ending
+/// `/d0.024`), covers `islip`, `pim` and `lcf_central_rr`: it is the request
+/// density of the n = 256 benchmark switches (`wide256`, `islip256`), where
+/// most ports run out of live partners within the first iterations.
 fn bench_kernels(c: &mut Criterion) {
     let kinds = [
         SchedulerKind::LcfCentral,
@@ -79,15 +84,27 @@ fn bench_kernels(c: &mut Criterion) {
     for backend in [Backend::Scalar, Backend::Bitset] {
         let mut group = c.benchmark_group(format!("kernel_{backend}"));
         for kind in kinds {
-            for n in [8usize, 16, 32, 64, 128, 256] {
+            let mut points = [8usize, 16, 32, 64, 128, 256].map(|n| (n, 0.5)).to_vec();
+            if matches!(
+                kind,
+                SchedulerKind::Islip | SchedulerKind::Pim | SchedulerKind::LcfCentralRr
+            ) {
+                points.extend([(128, 0.024), (256, 0.024)]);
+            }
+            for (n, density) in points {
+                let param = if density == 0.5 {
+                    n.to_string()
+                } else {
+                    format!("{n}/d{density}")
+                };
                 let mut rng = StdRng::seed_from_u64(7);
                 let pool: Vec<RequestMatrix> = (0..64)
-                    .map(|_| RequestMatrix::random(n, 0.5, &mut rng))
+                    .map(|_| RequestMatrix::random(n, density, &mut rng))
                     .collect();
                 let mut sched = kind.build_with_backend(n, 4, 11, backend).0;
                 let mut out = Matching::new(n);
                 let mut idx = 0usize;
-                group.bench_with_input(BenchmarkId::new(kind.name(), n), &pool, |b, pool| {
+                group.bench_with_input(BenchmarkId::new(kind.name(), param), &pool, |b, pool| {
                     b.iter(|| {
                         sched.schedule_into(&pool[idx % pool.len()], &mut out);
                         idx += 1;

@@ -17,17 +17,18 @@
 //! fast never slower than legacy) and then re-measures the fast-vs-reference
 //! ratio live with a cruder timer and a wider margin.
 //!
-//! The distributed LCF kernel check works the same way: the committed
-//! `kernel_scalar/lcf_dist_rr/32` and `kernel_bitset/lcf_dist_rr/32`
-//! medians come from one criterion run, so their ratio must clear a
-//! committed floor, and a live re-measurement must clear a wider one.
+//! The kernel checks work the same way, for the distributed LCF kernel
+//! (`kernel_scalar/lcf_dist_rr/32` against `kernel_bitset/lcf_dist_rr/32`)
+//! and for sparse iSLIP (`kernel_*/islip/256/d0.024`): both medians come
+//! from one criterion run, so their ratio must clear a committed floor,
+//! and a live re-measurement must clear a wider one.
 //!
 //! ```text
 //! cargo run --release -p lcf-bench --bin bench_guard
 //! ```
 //!
 //! Exits non-zero iff any measured median exceeds `TOLERANCE x` baseline or
-//! any `sim_heavy` or distributed-kernel ratio check fails.
+//! any `sim_heavy` or kernel ratio check fails.
 
 #![forbid(unsafe_code)]
 
@@ -77,8 +78,13 @@ fn main() {
             failures += 1;
             continue;
         };
-        let measured_ns =
-            measure_schedule(SchedulerKind::LcfCentral, 16, density, Backend::default());
+        let measured_ns = measure_schedule(
+            SchedulerKind::LcfCentral,
+            16,
+            density,
+            Backend::default(),
+            CALLS_PER_SAMPLE,
+        );
         let limit = baseline_ns * TOLERANCE;
         let verdict = if measured_ns <= limit { "ok" } else { "FAIL" };
         println!(
@@ -91,7 +97,8 @@ fn main() {
     }
 
     failures += check_sim_heavy(&baseline);
-    failures += check_dist_kernel(&baseline);
+    failures += check_kernel_ratio(&baseline, &DIST_KERNEL);
+    failures += check_kernel_ratio(&baseline, &ISLIP_SPARSE_KERNEL);
 
     if failures > 0 {
         eprintln!("bench_guard: {failures} check(s) failed");
@@ -215,19 +222,55 @@ fn measure_heavy_slot(backend: Backend, fast_traffic: bool) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Committed scalar-vs-bitset speedup floor for the distributed LCF kernel
-/// (`lcf_dist_rr`, n = 32, density 0.5); both medians come from one
-/// criterion run, so the ratio is machine-independent.
-const DIST_RATIO_BASELINE: f64 = 10.0;
+/// A scalar-vs-bitset kernel speedup guard on one `kernel_*` criterion
+/// point. Both committed medians come from one criterion run, so their
+/// ratio is machine-independent and must clear `committed_floor`; a live
+/// re-measurement must clear the wider `live_floor`, so a bitset kernel
+/// that has fallen back to per-bit probes (or to visiting dead ports)
+/// fails even on a noisy machine.
+struct KernelRatio {
+    kind: SchedulerKind,
+    n: usize,
+    density: f64,
+    /// The criterion parameter: `n`, plus `/d<density>` off density 0.5.
+    param: &'static str,
+    committed_floor: f64,
+    live_floor: f64,
+    /// Calls per live timing sample.
+    calls: usize,
+}
 
-/// Live re-measurement floor for the same ratio, wider for noisy machines.
-/// A bitset kernel that has fallen back to per-bit probes fails it.
-const DIST_RATIO_LIVE: f64 = 5.0;
+/// Distributed LCF (`lcf_dist_rr`, n = 32, density 0.5).
+const DIST_KERNEL: KernelRatio = KernelRatio {
+    kind: SchedulerKind::LcfDistRr,
+    n: 32,
+    density: 0.5,
+    param: "32",
+    committed_floor: 10.0,
+    live_floor: 5.0,
+    calls: CALLS_PER_SAMPLE,
+};
 
-/// Distributed LCF kernel guards (the `kernel_*` criterion groups): the
-/// committed scalar/bitset ratio plus a live re-measurement.
-fn check_dist_kernel(baseline: &str) -> usize {
-    let id = |backend: Backend| format!("kernel_{backend}/lcf_dist_rr/32");
+/// iSLIP at n = 256, density 0.024 (the `islip256` benchmark switch's
+/// request density), where the live-port kernel skips outputs with no
+/// unmatched requester and inputs with no grant. The committed ratio was
+/// 29.5x when the floor was set; the floor is about half of it. The
+/// scalar kernel takes ~0.45 ms a call, hence the short live samples.
+const ISLIP_SPARSE_KERNEL: KernelRatio = KernelRatio {
+    kind: SchedulerKind::Islip,
+    n: 256,
+    density: 0.024,
+    param: "256/d0.024",
+    committed_floor: 15.0,
+    live_floor: 7.5,
+    calls: 100,
+};
+
+/// Checks one [`KernelRatio`]: the committed ratio, then a live
+/// re-measurement.
+fn check_kernel_ratio(baseline: &str, guard: &KernelRatio) -> usize {
+    let name = format!("{}/{}", guard.kind.name(), guard.param);
+    let id = |backend: Backend| format!("kernel_{backend}/{name}");
     let mut entries = [0.0f64; 2];
     for (slot, backend) in entries.iter_mut().zip([Backend::Scalar, Backend::Bitset]) {
         match ns_median_for(baseline, &id(backend)) {
@@ -245,29 +288,32 @@ fn check_dist_kernel(baseline: &str) -> usize {
     let mut failures = 0usize;
 
     let committed_ratio = scalar_ns / bitset_ns;
-    let verdict = if committed_ratio >= DIST_RATIO_BASELINE {
+    let floor = guard.committed_floor;
+    let verdict = if committed_ratio >= floor {
         "ok"
     } else {
         failures += 1;
         "FAIL"
     };
     println!(
-        "bench_guard: lcf_dist_rr/32 committed bitset speedup {committed_ratio:.2}x over scalar \
-         (floor {DIST_RATIO_BASELINE}x)  {verdict}"
+        "bench_guard: {name} committed bitset speedup {committed_ratio:.2}x over scalar \
+         (floor {floor}x)  {verdict}"
     );
 
-    let live_scalar = measure_schedule(SchedulerKind::LcfDistRr, 32, 0.5, Backend::Scalar);
-    let live_bitset = measure_schedule(SchedulerKind::LcfDistRr, 32, 0.5, Backend::Bitset);
+    let live = |backend| measure_schedule(guard.kind, guard.n, guard.density, backend, guard.calls);
+    let live_scalar = live(Backend::Scalar);
+    let live_bitset = live(Backend::Bitset);
     let live_ratio = live_scalar / live_bitset;
-    let verdict = if live_ratio >= DIST_RATIO_LIVE {
+    let floor = guard.live_floor;
+    let verdict = if live_ratio >= floor {
         "ok"
     } else {
         failures += 1;
         "FAIL"
     };
     println!(
-        "bench_guard: lcf_dist_rr/32 live scalar {live_scalar:8.1} ns  bitset \
-         {live_bitset:8.1} ns  ratio {live_ratio:.2}x (floor {DIST_RATIO_LIVE}x)  {verdict}"
+        "bench_guard: {name} live scalar {live_scalar:8.1} ns  bitset \
+         {live_bitset:8.1} ns  ratio {live_ratio:.2}x (floor {floor}x)  {verdict}"
     );
     failures
 }
@@ -275,8 +321,14 @@ fn check_dist_kernel(baseline: &str) -> usize {
 /// Median ns per `schedule_into` call of `kind` at port count `n` on the
 /// given backend, mirroring the pool setup of the `schedule_n16` and
 /// `kernel_*` criterion groups (64 random matrices at `density`, 4
-/// iterations).
-fn measure_schedule(kind: SchedulerKind, n: usize, density: f64, backend: Backend) -> f64 {
+/// iterations), timed in samples of `calls` calls.
+fn measure_schedule(
+    kind: SchedulerKind,
+    n: usize,
+    density: f64,
+    backend: Backend,
+    calls: usize,
+) -> f64 {
     let mut rng = StdRng::seed_from_u64(7);
     let pool: Vec<RequestMatrix> = (0..64)
         .map(|_| RequestMatrix::random(n, density, &mut rng))
@@ -285,7 +337,7 @@ fn measure_schedule(kind: SchedulerKind, n: usize, density: f64, backend: Backen
     let mut out = Matching::new(n);
     let mut idx = 0usize;
     let mut run = || {
-        for _ in 0..CALLS_PER_SAMPLE {
+        for _ in 0..calls {
             sched.schedule_into(&pool[idx % pool.len()], &mut out);
             std::hint::black_box(out.size());
             idx += 1;
@@ -299,7 +351,7 @@ fn measure_schedule(kind: SchedulerKind, n: usize, density: f64, backend: Backen
             // lint:allow(wall-clock): timing the scheduler calls is the measurement
             let start = Instant::now();
             run();
-            start.elapsed().as_nanos() as f64 / CALLS_PER_SAMPLE as f64
+            start.elapsed().as_nanos() as f64 / calls as f64
         })
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));

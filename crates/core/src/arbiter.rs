@@ -83,15 +83,26 @@ impl RoundRobinPointer {
     }
 
     /// Moves the pointer to one beyond `granted` (the iSLIP update rule:
-    /// the granted index becomes the lowest priority).
+    /// the granted index becomes the lowest priority). Division-free: one
+    /// compare wraps `granted + 1` at `n`.
+    #[inline]
     pub fn advance_past(&mut self, granted: usize) {
         assert!(granted < self.n, "granted index out of range");
-        self.pos = (granted + 1) % self.n;
+        self.pos = if granted + 1 == self.n {
+            0
+        } else {
+            granted + 1
+        };
     }
 
-    /// Moves the pointer forward by one position.
+    /// Moves the pointer forward by one position (division-free).
+    #[inline]
     pub fn step(&mut self) {
-        self.pos = (self.pos + 1) % self.n;
+        self.pos = if self.pos + 1 == self.n {
+            0
+        } else {
+            self.pos + 1
+        };
     }
 }
 
@@ -205,6 +216,20 @@ mod tests {
         assert_eq!(p.pos(), 0);
         p.step();
         assert_eq!(p.pos(), 1);
+        p.advance_past(2);
+        p.step();
+        assert_eq!(p.pos(), 0, "step wraps at n");
+        // A one-position pointer never leaves 0.
+        let mut one = RoundRobinPointer::new(1);
+        one.advance_past(0);
+        one.step();
+        assert_eq!(one.pos(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "granted index out of range")]
+    fn round_robin_pointer_rejects_out_of_range_grant() {
+        RoundRobinPointer::new(4).advance_past(4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and gives 100% throughput under uniform traffic.
 
 use crate::arbiter::RoundRobinPointer;
-use crate::bitkern::{self, Backend};
+use crate::bitkern::{self, Backend, GrantAccept, RequestGrantAccept};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::telemetry::IterationTrace;
@@ -44,13 +44,11 @@ pub struct Islip {
     accept_ptr: Vec<RoundRobinPointer>,
     // Scratch, reused across slots.
     grant_of_target: Vec<Option<usize>>,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // grant masks plus three single-mask scratch buffers. The column masks
-    // are the request matrix's kept transpose, borrowed per call.
-    grant_mask: Vec<u64>,
-    unmatched_in: Vec<u64>,
-    unmatched_out: Vec<u64>,
-    cand: Vec<u64>,
+    // Word-parallel scratch (bitset backend): the shared live-port masks,
+    // and per input the smallest rotational distance from its accept
+    // pointer to a granting output (`usize::MAX` between calls).
+    rga: RequestGrantAccept,
+    accept_dist: Vec<usize>,
     trace: IterationTrace,
 }
 
@@ -62,7 +60,6 @@ impl Islip {
     pub fn new(n: usize, iterations: usize) -> Self {
         assert!(n > 0, "scheduler requires n > 0");
         assert!(iterations > 0, "at least one iteration required");
-        let w = bitkern::words_for(n);
         Islip {
             n,
             iterations,
@@ -70,10 +67,8 @@ impl Islip {
             grant_ptr: vec![RoundRobinPointer::new(n); n],
             accept_ptr: vec![RoundRobinPointer::new(n); n],
             grant_of_target: vec![None; n],
-            grant_mask: vec![0; n * w],
-            unmatched_in: vec![0; w],
-            unmatched_out: vec![0; w],
-            cand: vec![0; w],
+            rga: RequestGrantAccept::new(n),
+            accept_dist: vec![usize::MAX; n],
             trace: IterationTrace::default(),
         }
     }
@@ -198,78 +193,63 @@ impl Islip {
         }
     }
 
-    /// The word-parallel kernel: candidate filtering is a word-wise `AND`
-    /// of the request matrix's kept column mask against the
-    /// unmatched-inputs mask, and each pointer
-    /// scan is a word-walk [`bitkern::rotating_first`] over the
-    /// `words_for(n)`-word mask. Produces grant-for-grant identical
-    /// matchings (and identical pointer updates) to
-    /// [`Islip::schedule_scalar`].
+    /// The word-parallel kernel: the shared live-port iteration
+    /// (`bitkern::RequestGrantAccept`) with iSLIP's pointer picks. A grant
+    /// is a [`bitkern::rotating_first`] over the output's unmatched
+    /// requesters; an accept keeps, per granted input, only the smallest
+    /// rotational distance from its accept pointer, so no grant matrix is
+    /// stored or cleared. Produces grant-for-grant identical matchings (and
+    /// identical pointer updates) to [`Islip::schedule_scalar`].
     fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
-        let n = self.n;
-        let w = bitkern::words_for(n);
-        out.reset(n);
-        let matching = out;
-        let cols = requests.cols().all_words();
-        bitkern::mask_fill(&mut self.unmatched_in, n);
-        bitkern::mask_fill(&mut self.unmatched_out, n);
+        let mut picks = IslipPicks {
+            n: self.n,
+            grant_ptr: &mut self.grant_ptr,
+            accept_ptr: &mut self.accept_ptr,
+            accept_dist: &mut self.accept_dist,
+        };
+        self.rga
+            .run(&mut picks, requests, self.iterations, out, &mut self.trace);
+    }
+}
 
-        for iter in 0..self.iterations {
-            self.trace.begin_iteration(requests, matching);
-            // Grant step: each unmatched output offers its grant to the
-            // first requesting unmatched input at or after its pointer.
-            // Walking word copies of the unmatched-outputs mask visits the
-            // outputs in the same ascending order as the scalar loop.
-            self.grant_mask.fill(0);
-            for wi in 0..w {
-                let mut outs = self.unmatched_out[wi];
-                while outs != 0 {
-                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = cols[j * w + k] & self.unmatched_in[k];
-                    }
-                    if let Some(i) = bitkern::rotating_first(&self.cand, n, self.grant_ptr[j].pos())
-                    {
-                        bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
-                        self.trace.grant(i, j);
-                    }
-                }
-            }
+/// iSLIP's grant and accept picks over its pointers.
+struct IslipPicks<'a> {
+    n: usize,
+    grant_ptr: &'a mut [RoundRobinPointer],
+    accept_ptr: &'a mut [RoundRobinPointer],
+    accept_dist: &'a mut [usize],
+}
 
-            // Accept step: each input holding grants accepts the first at
-            // or after its pointer. The per-word snapshot (`ins`) is not
-            // invalidated by clearing bits of `unmatched_in`: an input is
-            // cleared only when it accepts, and each input accepts at most
-            // once per iteration.
-            let mut new_matches = 0;
-            for wi in 0..w {
-                let mut ins = self.unmatched_in[wi];
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    if let Some(j) = bitkern::rotating_first(
-                        &self.grant_mask[i * w..(i + 1) * w],
-                        n,
-                        self.accept_ptr[i].pos(),
-                    ) {
-                        matching.connect(i, j);
-                        bitkern::clear_bit(&mut self.unmatched_in, i);
-                        bitkern::clear_bit(&mut self.unmatched_out, j);
-                        new_matches += 1;
-                        self.trace.accept(i, j);
-                        if iter == 0 {
-                            self.grant_ptr[j].advance_past(i);
-                            self.accept_ptr[i].advance_past(j);
-                        }
-                    }
-                }
-            }
-            self.trace.end_iteration(iter, new_matches);
-            if new_matches == 0 {
-                break;
-            }
+impl GrantAccept for IslipPicks<'_> {
+    /// The first candidate at or after the output's grant pointer. The
+    /// grant's distance `(output - accept_ptr[i]) mod n` is folded into the
+    /// input's smallest so far, which is the grant its accept would pick.
+    fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize> {
+        let i = bitkern::rotating_first(cand, self.n, self.grant_ptr[output].pos())?;
+        let start = self.accept_ptr[i].pos();
+        let dist = if output >= start {
+            output - start
+        } else {
+            output + self.n - start
+        };
+        self.accept_dist[i] = self.accept_dist[i].min(dist);
+        Some(i)
+    }
+
+    /// The granting output closest at or after the accept pointer; the
+    /// pointers slip past the pair only on a first-iteration accept.
+    fn accept(&mut self, input: usize, first: bool) -> Option<usize> {
+        let dist = std::mem::replace(&mut self.accept_dist[input], usize::MAX);
+        if dist >= self.n {
+            return None;
         }
+        let j = self.accept_ptr[input].pos() + dist;
+        let j = if j >= self.n { j - self.n } else { j };
+        if first {
+            self.grant_ptr[j].advance_past(input);
+            self.accept_ptr[input].advance_past(j);
+        }
+        Some(j)
     }
 }
 
@@ -371,5 +351,105 @@ mod tests {
             assert_eq!(s.grant_pointer(j), 0);
             assert_eq!(s.accept_pointer(j), 0);
         }
+    }
+
+    /// Word-boundary pointers, a skipped output and an input granted from
+    /// two words, on both backends. Setup pairs (each its own row and
+    /// column, all accepted in iteration 0) leave grant pointers at 63, 64,
+    /// 127 and 255 and accept pointers at 63, 64, 127 and 255.
+    #[test]
+    fn word_boundary_pointers_and_live_ports_at_n256() {
+        let n = 256;
+        let setup = RequestMatrix::from_pairs(
+            n,
+            [
+                (62, 10),
+                (63, 11),
+                (126, 12),
+                (254, 13),
+                (6, 62),
+                (5, 63),
+                (7, 126),
+                (8, 254),
+            ],
+        );
+        let requests = RequestMatrix::from_pairs(
+            n,
+            [
+                // Grant pointers 63, 64, 127, 255: at-or-after, across a
+                // word boundary, and wrapping past n.
+                (0, 10),
+                (63, 10),
+                (200, 10),
+                (63, 11),
+                (65, 11),
+                (126, 12),
+                (3, 12),
+                (0, 13),
+                (255, 13),
+                // Input 5 (accept pointer 64) is granted by outputs 20, 30
+                // and 50 in word 0 and 140 in word 2: distances 212, 222,
+                // 242 and 76, so it accepts 140.
+                (5, 20),
+                (5, 140),
+                (5, 30),
+                (8, 30),
+                (5, 50),
+                (100, 50),
+                // Input 8 (accept pointer 255) accepts 255 over 0; input 7
+                // (accept pointer 127) accepts 128 over 126.
+                (8, 255),
+                (8, 0),
+                (7, 126),
+                (7, 128),
+            ],
+        );
+        let mut runs = Vec::new();
+        for backend in [Backend::Scalar, Backend::Bitset] {
+            let mut s = Islip::new(n, 4).with_backend(backend);
+            s.schedule(&setup);
+            for (j, p) in [(10, 63), (11, 64), (12, 127), (13, 255)] {
+                assert_eq!(s.grant_pointer(j), p, "{backend}: grant pointer {j}");
+            }
+            for (i, p) in [(6, 63), (5, 64), (7, 127), (8, 255)] {
+                assert_eq!(s.accept_pointer(i), p, "{backend}: accept pointer {i}");
+            }
+            s.set_tracing(true);
+            let m = s.schedule(&requests);
+            let steps = s.last_trace().steps.clone();
+            let first: Vec<_> = steps[0].accepts.clone();
+            assert_eq!(
+                first,
+                vec![
+                    (3, 12),
+                    (5, 140),
+                    (7, 128),
+                    (8, 255),
+                    (63, 10),
+                    (65, 11),
+                    (255, 13)
+                ],
+                "{backend}"
+            );
+            // Output 30 was granted to input 5 in iteration 0; both its
+            // requesters (5 and 8) are matched then, so iteration 1 skips
+            // it. Output 50 grants its other requester, input 100.
+            assert_eq!(steps[1].grants, vec![(100, 50)], "{backend}");
+            assert_eq!(steps[1].accepts, vec![(100, 50)], "{backend}");
+            assert_eq!(steps.len(), 3, "{backend}: iteration 2 finds nothing");
+            // First-iteration accepts slip both pointers (wrapping at n);
+            // the iteration-1 match moves neither.
+            for (j, p) in [(12, 4), (140, 6), (128, 8), (255, 9), (13, 0), (50, 0)] {
+                assert_eq!(s.grant_pointer(j), p, "{backend}: grant pointer {j}");
+            }
+            for (i, p) in [(5, 141), (7, 129), (8, 0), (255, 14), (100, 0)] {
+                assert_eq!(s.accept_pointer(i), p, "{backend}: accept pointer {i}");
+            }
+            let pointers: Vec<_> = (0..n)
+                .map(|p| (s.grant_pointer(p), s.accept_pointer(p)))
+                .collect();
+            runs.push((m, steps, pointers));
+        }
+        assert_eq!(runs[0], runs[1], "backends diverged");
     }
 }

@@ -4,7 +4,7 @@
 //! request/grant/accept iteration structure, but grants and accepts are
 //! chosen *uniformly at random* instead of by least-choice priority.
 
-use crate::bitkern::{self, Backend};
+use crate::bitkern::{self, Backend, GrantAccept, RequestGrantAccept};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::telemetry::IterationTrace;
@@ -32,14 +32,11 @@ pub struct Pim {
     grant_of_target: Vec<Option<usize>>,
     candidates: Vec<usize>,
     trace: IterationTrace,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // grant masks plus per-port candidate and unmatched scratch masks. The
-    // column masks are the request matrix's kept transpose, borrowed per
-    // call.
-    grant_mask: Vec<u64>,
-    unmatched_in: Vec<u64>,
-    unmatched_out: Vec<u64>,
-    cand: Vec<u64>,
+    // Word-parallel scratch (bitset backend): the shared live-port masks
+    // and a flat `n × words_for(n)` grant row per input, all zero between
+    // calls (an accept clears the row it read).
+    rga: RequestGrantAccept,
+    grant_rows: Vec<u64>,
 }
 
 impl Pim {
@@ -57,10 +54,8 @@ impl Pim {
             grant_of_target: vec![None; n],
             candidates: Vec::with_capacity(n),
             trace: IterationTrace::default(),
-            grant_mask: vec![0; n * w],
-            unmatched_in: vec![0; w],
-            unmatched_out: vec![0; w],
-            cand: vec![0; w],
+            rga: RequestGrantAccept::new(n),
+            grant_rows: vec![0; n * w],
         }
     }
 
@@ -171,73 +166,56 @@ impl Pim {
         }
     }
 
-    /// The word-parallel kernel: the uniform pick over a candidate list
-    /// becomes a popcount plus a k-th-set-bit select on the multi-word
-    /// candidate mask. The ports are visited in the same ascending order
-    /// with the same `gen_range` bounds as the scalar kernel, so the RNG
-    /// stream is consumed identically and the matchings are bit-identical
-    /// to [`Pim::schedule_scalar`].
+    /// The word-parallel kernel: the shared live-port iteration
+    /// (`bitkern::RequestGrantAccept`) with PIM's uniform picks, each a
+    /// popcount plus a k-th-set-bit select on a multi-word mask. The
+    /// iteration skips exactly the ports whose candidate set is empty, where
+    /// the scalar kernel draws nothing either, and keeps the ascending port
+    /// order and the `gen_range` bounds, so the RNG stream is consumed
+    /// identically and the matchings are bit-identical to
+    /// [`Pim::schedule_scalar`].
     fn schedule_bitset(&mut self, requests: &RequestMatrix, out: &mut Matching) {
-        let n = self.n;
-        let w = bitkern::words_for(n);
-        out.reset(n);
-        let matching = out;
-        let cols = requests.cols().all_words();
-        bitkern::mask_fill(&mut self.unmatched_in, n);
-        bitkern::mask_fill(&mut self.unmatched_out, n);
+        let mut picks = PimPicks {
+            w: bitkern::words_for(self.n),
+            rng: &mut self.rng,
+            grant_rows: &mut self.grant_rows,
+        };
+        self.rga
+            .run(&mut picks, requests, self.iterations, out, &mut self.trace);
+    }
+}
 
-        for iter in 0..self.iterations {
-            self.trace.begin_iteration(requests, matching);
-            // Grant: each unmatched output picks uniformly among the
-            // unmatched inputs requesting it (k-th set bit of the mask,
-            // ascending — the mask order matches the scalar candidate list).
-            // Word-copy walking visits outputs in ascending order.
-            self.grant_mask.fill(0);
-            for wi in 0..w {
-                let mut outs = self.unmatched_out[wi];
-                while outs != 0 {
-                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    for (k, c) in self.cand.iter_mut().enumerate() {
-                        *c = cols[j * w + k] & self.unmatched_in[k];
-                    }
-                    let count = bitkern::popcount(&self.cand);
-                    if count > 0 {
-                        let pick = self.rng.gen_range(0..count);
-                        let i = bitkern::kth_set_bit(&self.cand, pick);
-                        bitkern::set_bit(&mut self.grant_mask[i * w..(i + 1) * w], j);
-                        self.trace.grant(i, j);
-                    }
-                }
-            }
+/// PIM's uniform grant and accept picks.
+struct PimPicks<'a> {
+    w: usize,
+    rng: &'a mut StdRng,
+    grant_rows: &'a mut [u64],
+}
 
-            // Accept: each input holding grants picks uniformly among them.
-            // The per-word snapshot stays valid: inputs are cleared from
-            // `unmatched_in` only when they accept, at most once each.
-            let mut new_matches = 0;
-            for wi in 0..w {
-                let mut ins = self.unmatched_in[wi];
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    let grants = &self.grant_mask[i * w..(i + 1) * w];
-                    let count = bitkern::popcount(grants);
-                    if count > 0 {
-                        let pick = self.rng.gen_range(0..count);
-                        let j = bitkern::kth_set_bit(grants, pick);
-                        matching.connect(i, j);
-                        bitkern::clear_bit(&mut self.unmatched_in, i);
-                        bitkern::clear_bit(&mut self.unmatched_out, j);
-                        new_matches += 1;
-                        self.trace.accept(i, j);
-                    }
-                }
-            }
-            self.trace.end_iteration(iter, new_matches);
-            if new_matches == 0 {
-                break;
-            }
+impl GrantAccept for PimPicks<'_> {
+    /// A uniform pick among the candidates (ascending mask order matches
+    /// the scalar candidate list); the grant is recorded in the input's
+    /// grant row.
+    fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize> {
+        let count = bitkern::popcount(cand);
+        if count == 0 {
+            return None;
         }
+        let i = bitkern::kth_set_bit(cand, self.rng.gen_range(0..count));
+        bitkern::set_bit(&mut self.grant_rows[i * self.w..(i + 1) * self.w], output);
+        Some(i)
+    }
+
+    /// A uniform pick among the input's grants; the grant row is cleared.
+    fn accept(&mut self, input: usize, _first: bool) -> Option<usize> {
+        let grants = &mut self.grant_rows[input * self.w..(input + 1) * self.w];
+        let count = bitkern::popcount(grants);
+        if count == 0 {
+            return None;
+        }
+        let j = bitkern::kth_set_bit(grants, self.rng.gen_range(0..count));
+        grants.fill(0);
+        Some(j)
     }
 }
 
@@ -330,5 +308,30 @@ mod tests {
             distinct,
             "20 identical PIM matchings in a row is implausible"
         );
+    }
+
+    /// Across word boundaries the bitset kernel draws the same RNG stream
+    /// as the scalar one, and every grant row it set is cleared by the
+    /// accept that read it.
+    #[test]
+    fn bitset_matches_scalar_and_clears_grant_rows() {
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(130);
+        for n in [65, 130, 256] {
+            let mut scalar = Pim::new(n, 4, 9).with_backend(Backend::Scalar);
+            let mut bitset = Pim::new(n, 4, 9).with_backend(Backend::Bitset);
+            for density in [0.024, 0.3, 0.9] {
+                let requests = RequestMatrix::random(n, density, &mut rng);
+                assert_eq!(
+                    bitset.schedule(&requests),
+                    scalar.schedule(&requests),
+                    "n={n} density={density}"
+                );
+                assert!(
+                    bitset.grant_rows.iter().all(|&w| w == 0),
+                    "n={n} density={density}: a grant row was left set"
+                );
+            }
+        }
     }
 }
