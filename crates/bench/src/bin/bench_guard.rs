@@ -160,9 +160,7 @@ fn check_sim_heavy(baseline: &str) -> usize {
          per iter  {verdict}"
     );
 
-    let live_fast = measure_heavy_slot(Backend::Bitset, true);
-    let live_reference = measure_heavy_slot(Backend::Scalar, false);
-    let live_ratio = live_reference / live_fast;
+    let (live_reference, live_fast, live_ratio) = measure_heavy_ratio();
     let verdict = if live_ratio >= HEAVY_RATIO_LIVE {
         "ok"
     } else {
@@ -176,50 +174,76 @@ fn check_sim_heavy(baseline: &str) -> usize {
     failures
 }
 
-/// Median ns per slot of the heavy-traffic loop (`lcf_central`, n = 32,
-/// load 0.99), mirroring the `sim_heavy` criterion group with the guard's
-/// cruder timer.
-fn measure_heavy_slot(backend: Backend, fast_traffic: bool) -> f64 {
-    use lcf_sim::stats::SimStats;
-    use lcf_sim::switch::{IqSwitch, QueueMode};
-    use lcf_sim::traffic::{Bernoulli, DestPattern, FastBernoulli, Traffic};
+/// The heavy-traffic slot loop (`lcf_central`, n = 32, load 0.99) of the
+/// `sim_heavy` criterion group, timed with the guard's cruder timer.
+struct HeavyLoop {
+    sw: lcf_sim::switch::IqSwitch,
+    traffic: Box<dyn lcf_sim::traffic::Traffic>,
+    rng: StdRng,
+    stats: lcf_sim::stats::SimStats,
+    slot: u64,
+}
 
-    const SLOTS_PER_SAMPLE: u64 = 2_000;
-    const HEAVY_SAMPLES: usize = 7;
+impl HeavyLoop {
+    /// Builds the loop and warms it up to the load-0.99 steady state.
+    fn new(backend: Backend, fast_traffic: bool) -> Self {
+        use lcf_sim::switch::{IqSwitch, QueueMode};
+        use lcf_sim::traffic::{Bernoulli, DestPattern, FastBernoulli};
 
-    let n = 32usize;
-    let sched = SchedulerKind::LcfCentral
-        .build_with_backend(n, 4, 2, backend)
-        .0;
-    let mut sw = IqSwitch::new(n, sched, QueueMode::Voq { cap: 256 }, 1_000);
-    let mut traffic: Box<dyn Traffic> = if fast_traffic {
-        Box::new(FastBernoulli::new(n, 0.99, DestPattern::Uniform))
-    } else {
-        Box::new(Bernoulli::new(n, 0.99, DestPattern::Uniform))
-    };
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut stats = SimStats::new(n, 0, 4096);
-    let mut slot = 0u64;
-
-    // Warm-up fills the queues to the load-0.99 steady state.
-    for _ in 0..SLOTS_PER_SAMPLE {
-        sw.step(slot, traffic.as_mut(), &mut rng, &mut stats);
-        slot += 1;
+        let n = 32usize;
+        let sched = SchedulerKind::LcfCentral
+            .build_with_backend(n, 4, 2, backend)
+            .0;
+        let mut heavy = HeavyLoop {
+            sw: IqSwitch::new(n, sched, QueueMode::Voq { cap: 256 }, 1_000),
+            traffic: if fast_traffic {
+                Box::new(FastBernoulli::new(n, 0.99, DestPattern::Uniform))
+            } else {
+                Box::new(Bernoulli::new(n, 0.99, DestPattern::Uniform))
+            },
+            rng: StdRng::seed_from_u64(1),
+            stats: lcf_sim::stats::SimStats::new(n, 0, 4096),
+            slot: 0,
+        };
+        heavy.sample();
+        heavy
     }
 
-    let mut samples: Vec<f64> = (0..HEAVY_SAMPLES)
-        .map(|_| {
-            // lint:allow(wall-clock): timing the hot slot loop is the measurement
-            let start = Instant::now();
-            for _ in 0..SLOTS_PER_SAMPLE {
-                sw.step(slot, traffic.as_mut(), &mut rng, &mut stats);
-                slot += 1;
-            }
-            start.elapsed().as_nanos() as f64 / SLOTS_PER_SAMPLE as f64
-        })
+    /// Steps one sample of slots; returns its ns per slot.
+    fn sample(&mut self) -> f64 {
+        const SLOTS_PER_SAMPLE: u64 = 2_000;
+        // lint:allow(wall-clock): timing the hot slot loop is the measurement
+        let start = Instant::now();
+        for _ in 0..SLOTS_PER_SAMPLE {
+            let traffic = self.traffic.as_mut();
+            self.sw
+                .step(self.slot, traffic, &mut self.rng, &mut self.stats);
+            self.slot += 1;
+        }
+        start.elapsed().as_nanos() as f64 / SLOTS_PER_SAMPLE as f64
+    }
+}
+
+/// Live heavy slot timing: `(reference ns, fast ns, reference ÷ fast)`.
+/// The two loops' samples alternate, so host drift lands on both sides of
+/// a pair. The ratio is the median of the per-pair ratios; the times are
+/// each side's median.
+fn measure_heavy_ratio() -> (f64, f64, f64) {
+    const HEAVY_PAIRS: usize = 7;
+    let mut reference = HeavyLoop::new(Backend::Scalar, false);
+    let mut fast = HeavyLoop::new(Backend::Bitset, true);
+    let pairs: Vec<(f64, f64)> = (0..HEAVY_PAIRS)
+        .map(|_| (reference.sample(), fast.sample()))
         .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.total_cmp(b));
+        v[v.len() / 2]
+    };
+    (
+        median(pairs.iter().map(|p| p.0).collect()),
+        median(pairs.iter().map(|p| p.1).collect()),
+        median(pairs.iter().map(|p| p.0 / p.1).collect()),
+    )
 }
 
 /// A scalar-vs-bitset kernel speedup guard on one `kernel_*` criterion

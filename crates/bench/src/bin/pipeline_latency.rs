@@ -14,9 +14,9 @@
 use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, f3, write_csv};
 use lcf_core::registry::SchedulerKind;
-use lcf_sim::cioq::CioqSwitch;
 use lcf_sim::config::SimConfig;
-use lcf_sim::stats::SimStats;
+use lcf_sim::model::{drive, DriveOptions};
+use lcf_sim::switch::IqSwitch;
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ fn main() {
     let mut csv_rows = Vec::new();
     for &depth in &depths {
         let n = cfg.n;
-        let mut sw = CioqSwitch::new(
+        let mut sw = IqSwitch::new_cioq(
             n,
             SchedulerKind::LcfCentralRr.build(n, cfg.iterations, seed),
             1,
@@ -50,14 +50,8 @@ fn main() {
         );
         let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-        for slot in 0..warmup {
-            sw.step(slot, &mut traffic, &mut rng, &mut warm);
-        }
-        let mut stats = SimStats::new(n, warmup, cfg.max_latency_bucket);
-        for slot in warmup..warmup + measure {
-            sw.step(slot, &mut traffic, &mut rng, &mut stats);
-        }
+        let opts = DriveOptions::new(warmup, measure, cfg.max_latency_bucket);
+        let stats = drive(&mut sw, &mut traffic, &mut rng, &opts);
         let throughput = stats.delivered as f64 / (measure as f64 * n as f64);
         rows.push(vec![
             depth.to_string(),

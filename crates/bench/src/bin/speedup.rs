@@ -12,17 +12,26 @@
 use lcf_bench::cli;
 use lcf_bench::table::{ascii_table, f2, write_csv};
 use lcf_core::registry::SchedulerKind;
-use lcf_sim::cioq::CioqSwitch;
 use lcf_sim::config::SimConfig;
+use lcf_sim::model::{drive, DriveOptions, SwitchModel};
 use lcf_sim::outbuf::ObSwitch;
-use lcf_sim::stats::SimStats;
+use lcf_sim::switch::IqSwitch;
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Mean delay of one `drive` run (the config's warm-up and measurement
+/// windows) of `sw` under uniform Bernoulli traffic at `load`.
+fn mean_latency(sw: &mut dyn SwitchModel, cfg: &SimConfig, load: f64) -> f64 {
+    let mut traffic = Bernoulli::new(cfg.n, load, DestPattern::Uniform);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
+    drive(sw, &mut traffic, &mut rng, &opts).mean_latency()
+}
+
 fn run_cioq(cfg: &SimConfig, speedup: usize, load: f64) -> f64 {
     let n = cfg.n;
-    let mut sw = CioqSwitch::new(
+    let mut sw = IqSwitch::new_cioq(
         n,
         SchedulerKind::LcfCentralRr.build(n, cfg.iterations, cfg.seed),
         speedup,
@@ -31,35 +40,12 @@ fn run_cioq(cfg: &SimConfig, speedup: usize, load: f64) -> f64 {
         cfg.voq_cap,
         cfg.outbuf_cap,
     );
-    let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
-    }
-    stats.mean_latency()
+    mean_latency(&mut sw, cfg, load)
 }
 
 fn run_outbuf(cfg: &SimConfig, load: f64) -> f64 {
-    let n = cfg.n;
-    let mut sw = ObSwitch::new(n, cfg.pq_cap, cfg.outbuf_cap);
-    let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut warm = SimStats::new(n, 0, cfg.max_latency_bucket);
-    for slot in 0..cfg.warmup_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut warm);
-    }
-    let start = cfg.warmup_slots;
-    let mut stats = SimStats::new(n, start, cfg.max_latency_bucket);
-    for slot in start..start + cfg.measure_slots {
-        sw.step(slot, &mut traffic, &mut rng, &mut stats);
-    }
-    stats.mean_latency()
+    let mut sw = ObSwitch::new(cfg.n, cfg.pq_cap, cfg.outbuf_cap);
+    mean_latency(&mut sw, cfg, load)
 }
 
 fn main() {

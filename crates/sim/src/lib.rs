@@ -5,15 +5,16 @@
 //! output queues (`VOQ`); a [scheduler](lcf_core::traits::Scheduler) connects
 //! inputs to outputs through a non-blocking fabric once per time slot.
 //!
-//! Three switch architectures are modelled, all behind the
-//! [`model::SwitchModel`] trait:
+//! Two switch models are built, both behind the [`model::SwitchModel`]
+//! trait:
 //!
-//! * [`switch::IqSwitch`] (alias [`switch::CrossbarSwitch`]) with VOQs —
-//!   used by all VOQ schedulers (`lcf_central`, `pim`, `islip`, …) — or
-//!   with a single FIFO per input — the `fifo` baseline exhibiting
-//!   head-of-line blocking,
-//! * [`cioq::CioqSwitch`] — combined input/output queueing with fabric
-//!   speedup and pipelined scheduling,
+//! * [`switch::IqSwitch`] (alias [`switch::CrossbarSwitch`]): one input
+//!   stage — PQs spilling into VOQs, used by all VOQ schedulers
+//!   (`lcf_central`, `pim`, `islip`, …), or into a single FIFO per input,
+//!   the `fifo` baseline exhibiting head-of-line blocking — in front of a
+//!   fabric stage. The fabric is either direct (matched packets leave in
+//!   the same slot) or buffered ([`cioq`]: combined input/output queueing
+//!   with fabric speedup and pipelined scheduling),
 //! * [`outbuf::ObSwitch`] — the output-buffered reference (`outbuf`).
 //!
 //! One windowed slot loop, [`session::DriveSession`], runs them all: the
@@ -58,7 +59,6 @@ pub mod traffic;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::cioq::CioqSwitch;
     pub use crate::config::{ModelKind, SimConfig};
     pub use crate::model::{drive, DriveOptions, SwitchModel};
     pub use crate::outbuf::ObSwitch;

@@ -1,13 +1,12 @@
 //! The [`SwitchModel`] trait and the shared [`drive`] slot loop.
 //!
-//! Every switch architecture in this crate — the input-queued crossbar
-//! ([`IqSwitch`] / [`CrossbarSwitch`]), the CIOQ switch with speedup and
-//! pipelining ([`CioqSwitch`]) and the output-buffered reference
-//! ([`ObSwitch`]) — advances one time slot at a time under the same
-//! warm-up/measure protocol. Before this trait existed the protocol was
-//! duplicated four times (`run_sim`, `run_sim_with_stats`, `run_sim_traced`
-//! and ad-hoc test loops); now there is exactly one [`drive`] function and
-//! the models only implement [`SwitchModel::step`].
+//! Every switch architecture in this crate advances one time slot at a
+//! time under the same warm-up/measure protocol, and the models only
+//! implement [`SwitchModel::step`]. There are two: the switch of Fig. 11
+//! ([`IqSwitch`] / [`CrossbarSwitch`]), whose one input stage feeds either
+//! the direct fabric or the buffered CIOQ fabric with speedup and
+//! pipelining ([`IqSwitch::new_cioq`]), and the output-buffered reference
+//! ([`ObSwitch`]).
 //!
 //! ```text
 //!                 ┌───────────────────────────────┐
@@ -15,11 +14,13 @@
 //!                 │  warm-up ──► measure ──► stats│
 //!                 └──────┬────────────────────────┘
 //!                        │ step()
-//!        ┌───────────────┼─────────────────────────────┐
-//!        ▼               ▼             ▼               ▼
-//!  CrossbarSwitch   CioqSwitch     ObSwitch      (future models)
-//!  (IqSwitch)       speedup s,     no scheduler
-//!  VOQ / FIFO       pipeline L
+//!            ┌───────────┴──────────────────┐
+//!            ▼                              ▼
+//!     IqSwitch (CrossbarSwitch)          ObSwitch
+//!     input stage: PQ → VOQ / FIFO       no scheduler
+//!     fabric: direct │ buffered
+//!                      (speedup s,
+//!                       pipeline L)
 //! ```
 //!
 //! Telemetry stays inside the model: a model with a scheduler drains its
@@ -28,11 +29,10 @@
 //! clock. An untraced slot therefore makes no telemetry call at all.
 //!
 //! [`IqSwitch`]: crate::switch::IqSwitch
+//! [`IqSwitch::new_cioq`]: crate::switch::IqSwitch::new_cioq
 //! [`CrossbarSwitch`]: crate::switch::CrossbarSwitch
-//! [`CioqSwitch`]: crate::cioq::CioqSwitch
 //! [`ObSwitch`]: crate::outbuf::ObSwitch
 
-use crate::cioq::CioqSwitch;
 use crate::outbuf::ObSwitch;
 use crate::stats::SimStats;
 use crate::switch::{IqSwitch, SwitchTelemetry};
@@ -281,38 +281,6 @@ impl SwitchModel for IqSwitch {
         scheduler: Box<dyn lcf_core::traits::Scheduler + Send>,
     ) -> Result<(), String> {
         IqSwitch::swap_scheduler(self, scheduler).map(|_| ())
-    }
-}
-
-impl SwitchModel for CioqSwitch {
-    fn num_ports(&self) -> usize {
-        self.n()
-    }
-
-    fn scheduler_name(&self) -> &'static str {
-        CioqSwitch::scheduler_name(self)
-    }
-
-    fn step(
-        &mut self,
-        slot: u64,
-        traffic: &mut dyn Traffic,
-        rng: &mut StdRng,
-        stats: &mut SimStats,
-    ) {
-        CioqSwitch::step(self, slot, traffic, rng, stats);
-    }
-
-    fn buffered_packets(&self) -> usize {
-        CioqSwitch::buffered_packets(self)
-    }
-
-    fn enable_telemetry(&mut self, trace_capacity: usize) {
-        CioqSwitch::enable_telemetry(self, trace_capacity);
-    }
-
-    fn take_telemetry(&mut self) -> Option<Box<SwitchTelemetry>> {
-        CioqSwitch::take_telemetry(self)
     }
 }
 

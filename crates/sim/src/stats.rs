@@ -182,6 +182,11 @@ pub struct SimStats {
     latency: Welford,
     histogram: Histogram,
     service: ServiceMatrix,
+    /// When `Some`, every delivered packet with its delivery slot, in
+    /// delivery order (unit-test builds only: lets a test follow
+    /// individual packets).
+    #[cfg(test)]
+    pub(crate) deliveries: Option<Vec<(crate::packet::Packet, u64)>>,
 }
 
 impl SimStats {
@@ -197,6 +202,8 @@ impl SimStats {
             latency: Welford::new(),
             histogram: Histogram::new(max_latency_bucket),
             service: ServiceMatrix::new(n),
+            #[cfg(test)]
+            deliveries: None,
         }
     }
 
@@ -219,6 +226,10 @@ impl SimStats {
     pub fn on_delivered(&mut self, p: &crate::packet::Packet, slot: u64) {
         self.delivered += 1;
         self.service.record(p.src_idx(), p.dst_idx());
+        #[cfg(test)]
+        if let Some(log) = &mut self.deliveries {
+            log.push((*p, slot));
+        }
         if p.generated_at >= self.measure_start {
             let d = p.delay_at(slot);
             self.latency.add(d as f64);

@@ -1,5 +1,7 @@
-//! The input-queued switch model (Fig. 11 of the paper).
+//! The switch model (Fig. 11 of the paper): one input stage in front of a
+//! direct or a buffered fabric stage.
 
+use crate::cioq::BufferedFabric;
 use crate::packet::Packet;
 use crate::queues::{BoundedFifo, VoqSet};
 use crate::stats::SimStats;
@@ -63,17 +65,32 @@ enum InputQueues {
     Fifo(Vec<BoundedFifo>),
 }
 
+/// The fabric stage behind the input stage.
+enum Fabric {
+    /// Matched head packets cross the fabric and leave on their output
+    /// link in the same slot (input, internal and output bandwidths are
+    /// all equal, Sec. 2).
+    Direct,
+    /// Speedup, pipelined scheduling and output buffers (see
+    /// [`crate::cioq`]).
+    Buffered(Box<BufferedFabric>),
+}
+
 /// Slot-loop invariant check of the request matrix the switch keeps at
-/// buffer transitions: each row must equal its input's occupancy (the
-/// VOQ set's occupancy words, or the FIFO head's destination), and the
-/// matrix's kept columns and counts must equal a recount.
-#[cfg(all(feature = "check-invariants", debug_assertions))]
-fn check_requests(requests: &RequestMatrix, inputs: &InputQueues) {
+/// buffer transitions: each row must equal its input's requests (the VOQ
+/// set's occupancy words, the VOQs holding a packet not in flight behind a
+/// buffered fabric, or the FIFO head's destination), and the matrix's kept
+/// columns and counts must equal a recount.
+#[cfg(any(test, all(feature = "check-invariants", debug_assertions)))]
+fn check_requests(requests: &RequestMatrix, inputs: &InputQueues, fabric: &Fabric) {
+    let row = requests.bits();
     for i in 0..requests.n() {
-        let row = requests.bits();
-        let matches = match inputs {
-            InputQueues::Voq(v) => row.row_words(i) == v[i].occupancy_words(),
-            InputQueues::Fifo(f) => match f[i].head() {
+        let matches = match (inputs, fabric) {
+            (InputQueues::Voq(v), Fabric::Direct) => row.row_words(i) == v[i].occupancy_words(),
+            (InputQueues::Voq(v), Fabric::Buffered(f)) => {
+                (0..v.len()).all(|j| row.get(i, j) == f.requests(v, i, j))
+            }
+            (InputQueues::Fifo(f), _) => match f[i].head() {
                 Some(head) => row.row_count(i) == 1 && row.get(i, head.dst_idx()),
                 None => row.row_count(i) == 0,
             },
@@ -86,6 +103,31 @@ fn check_requests(requests: &RequestMatrix, inputs: &InputQueues) {
     if let Err(e) = requests.check_kept_state() {
         // lint:allow(no-panic): invariant checker aborts on a broken request matrix
         panic!("slot loop: {e}");
+    }
+}
+
+/// The scheduling seam every boolean pass goes through: schedule the
+/// request matrix into `m` (hot-path memory contract: no per-slot
+/// allocation), check the matching, and relay the scheduler's decision
+/// events into the trace.
+pub(crate) fn schedule_pass(
+    scheduler: &mut (dyn Scheduler + Send),
+    requests: &RequestMatrix,
+    m: &mut Matching,
+    tel: Option<&mut SwitchTelemetry>,
+) {
+    scheduler.schedule_into(requests, m);
+    // Slot-loop invariant check at the Matching seam: every matching the
+    // fabric acts on must be conflict-free and grant ⊆ request.
+    #[cfg(all(feature = "check-invariants", debug_assertions))]
+    if let Err(v) = lcf_core::check::ScheduleChecker::new().check(requests, m) {
+        // lint:allow(no-panic): invariant checker aborts on a broken scheduler
+        panic!("slot loop: {v}");
+    }
+    #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
+    debug_assert!(m.is_valid_for(requests));
+    if let Some(t) = tel {
+        t.record_scheduler_events(scheduler);
     }
 }
 
@@ -126,19 +168,28 @@ impl Engine {
 
 /// An input-queued crossbar switch driven by a [`Scheduler`].
 ///
-/// Per time slot ([`IqSwitch::step`]):
+/// Per time slot ([`IqSwitch::step`]), the input stage runs:
 ///
 /// 1. **Arrivals** — each packet generator may produce one packet, which
 ///    enters the input's packet queue (PQ); a full PQ drops it.
 /// 2. **Spill** — each PQ drains head-first into the input buffer (VOQ set
 ///    or single FIFO) while the head packet's queue has room ("first
 ///    buffered in the PQ and next, if space permits, in the VOQ").
-/// 3. **Request** — the request matrix is derived from buffer occupancy:
-///    one bit per non-empty VOQ, or the head destination in FIFO mode.
-/// 4. **Schedule & transfer** — the scheduler computes a matching; matched
-///    head packets traverse the fabric and are transmitted on their output
-///    link in the same slot (input, internal and output bandwidths are all
-///    equal, Sec. 2).
+/// 3. **Request** — the request matrix follows buffer occupancy: one bit
+///    per VOQ with a packet not yet granted, or the head destination in
+///    FIFO mode. It is edited only where a buffer changes.
+///
+/// Then one of two fabric stages schedules and transfers:
+///
+/// * **Direct** ([`IqSwitch::new`]) — the scheduler computes a matching;
+///   matched head packets traverse the fabric and are transmitted on their
+///   output link in the same slot (input, internal and output bandwidths
+///   are all equal, Sec. 2).
+/// * **Buffered** ([`IqSwitch::new_cioq`]) — `s` matchings per slot enter
+///   an `L`-slot scheduling pipeline; the matchings leaving it move head
+///   packets into output buffers, and each output link sends one packet
+///   per slot ([`crate::cioq`]). At `s = 1, L = 0` this delivers the same
+///   packets in the same slots as the direct fabric.
 pub struct IqSwitch {
     n: usize,
     engine: Engine,
@@ -150,15 +201,17 @@ pub struct IqSwitch {
     /// Per-slot arrival batch, reused across slots (hot-path memory
     /// contract: no per-slot allocation).
     arrivals: Vec<Option<usize>>,
-    /// Packets buffered in the PQs and input buffers: up when a PQ accepts
-    /// a packet, down when one departs, so the backlog is O(1) to read.
+    /// Packets buffered in the PQs, input buffers and output buffers: up
+    /// when a PQ accepts a packet, down when one leaves on its output link,
+    /// so the backlog is O(1) to read.
     backlog: usize,
+    fabric: Fabric,
     telemetry: Option<Box<SwitchTelemetry>>,
 }
 
 /// The crossbar switch model: an alias for [`IqSwitch`] under the name the
-/// [`SwitchModel`](crate::model::SwitchModel) lineup uses (crossbar vs CIOQ
-/// vs output-buffered).
+/// [`SwitchModel`](crate::model::SwitchModel) lineup uses (crossbar vs
+/// output-buffered).
 pub type CrossbarSwitch = IqSwitch;
 
 impl IqSwitch {
@@ -169,7 +222,31 @@ impl IqSwitch {
         mode: QueueMode,
         pq_cap: usize,
     ) -> Self {
-        Self::build(n, Engine::Boolean(scheduler), mode, pq_cap)
+        Self::build(n, Engine::Boolean(scheduler), mode, pq_cap, Fabric::Direct)
+    }
+
+    /// Builds a combined input/output-queued (CIOQ) switch: VOQs, then a
+    /// buffered fabric stage running `speedup` (≥ 1) matchings per slot
+    /// through a `sched_latency`-slot scheduling pipeline (0 = computed and
+    /// applied in the same slot) into output buffers of `outbuf_cap`
+    /// packets. See [`crate::cioq`].
+    pub fn new_cioq(
+        n: usize,
+        scheduler: Box<dyn Scheduler + Send>,
+        speedup: usize,
+        sched_latency: usize,
+        pq_cap: usize,
+        voq_cap: usize,
+        outbuf_cap: usize,
+    ) -> Self {
+        let fabric = BufferedFabric::new(n, speedup, sched_latency, outbuf_cap);
+        Self::build(
+            n,
+            Engine::Boolean(scheduler),
+            QueueMode::Voq { cap: voq_cap },
+            pq_cap,
+            Fabric::Buffered(Box::new(fabric)),
+        )
     }
 
     /// Builds a switch driven by a weighted scheduler; `source` selects the
@@ -191,10 +268,11 @@ impl IqSwitch {
             },
             QueueMode::Voq { cap: voq_cap },
             pq_cap,
+            Fabric::Direct,
         )
     }
 
-    fn build(n: usize, engine: Engine, mode: QueueMode, pq_cap: usize) -> Self {
+    fn build(n: usize, engine: Engine, mode: QueueMode, pq_cap: usize, fabric: Fabric) -> Self {
         assert_eq!(engine.num_ports(), n, "scheduler port count mismatch");
         let inputs = match mode {
             QueueMode::Voq { cap } => {
@@ -220,6 +298,7 @@ impl IqSwitch {
             last_matching: Matching::new(n),
             arrivals: vec![None; n],
             backlog: 0,
+            fabric,
             telemetry: None,
         }
     }
@@ -338,28 +417,46 @@ impl IqSwitch {
         }
     }
 
-    /// Total packets currently buffered (PQs + input buffers). O(1): the
-    /// switch keeps a running count.
+    /// Total packets currently buffered (PQs, input buffers and output
+    /// buffers). O(1): the switch keeps a running count.
     pub fn buffered_packets(&self) -> usize {
         self.backlog
+    }
+
+    /// Grants the buffered fabric could not apply because their output
+    /// buffer was full (always 0 for the direct fabric).
+    pub fn wasted_grants(&self) -> u64 {
+        match &self.fabric {
+            Fabric::Direct => 0,
+            Fabric::Buffered(f) => f.wasted_grants(),
+        }
     }
 
     /// Slot-loop invariant check: the running backlog equals a full
     /// recount of the queues (see [`crate::queues::check_backlog`]).
     #[cfg(all(feature = "check-invariants", debug_assertions))]
     fn check_backlog(&self) {
-        let pq: usize = self.pqs.iter().map(BoundedFifo::len).sum();
+        let mut fifos: usize = self.pqs.iter().map(BoundedFifo::len).sum();
+        if let Fabric::Buffered(f) = &self.fabric {
+            fifos += f.buffered();
+        }
         let checked = match &self.inputs {
-            InputQueues::Voq(v) => crate::queues::check_backlog(self.backlog, pq, v),
+            InputQueues::Voq(v) => crate::queues::check_backlog(self.backlog, fifos, v),
             InputQueues::Fifo(f) => {
                 let fifo: usize = f.iter().map(BoundedFifo::len).sum();
-                crate::queues::check_backlog(self.backlog, pq + fifo, &[])
+                crate::queues::check_backlog(self.backlog, fifos + fifo, &[])
             }
         };
         if let Err(e) = checked {
             // lint:allow(no-panic): invariant checker aborts on a broken queue count
             panic!("slot loop: {e}");
         }
+    }
+
+    /// Runs the slot loop's request-matrix invariant check now.
+    #[cfg(test)]
+    pub(crate) fn check_requests(&self) {
+        check_requests(&self.requests, &self.inputs, &self.fabric);
     }
 
     /// Advances the simulation by one slot.
@@ -417,8 +514,9 @@ impl IqSwitch {
         // 2. Spill PQ -> input buffers, head-first while space permits. The
         //    queue-mode match is hoisted out of the loop, and inputs with an
         //    empty PQ skip the scan entirely. The request matrix follows
-        //    the buffers at their transitions: a request appears when a
-        //    VOQ becomes non-empty, or when an empty FIFO gets a head.
+        //    the buffers at their transitions: a VOQ push always leaves a
+        //    packet that is not in flight, so it sets the bit, and an empty
+        //    FIFO that gets a head requests the head's destination.
         let requests = &mut self.requests;
         match &mut self.inputs {
             InputQueues::Voq(v) => {
@@ -433,9 +531,7 @@ impl IqSwitch {
                         };
                         let pushed = set.push(p);
                         debug_assert!(pushed, "room was checked before the pop");
-                        if set.len_for(dst) == 1 {
-                            requests.set(i, dst, true);
-                        }
+                        requests.set(i, dst, true);
                     }
                 }
             }
@@ -456,98 +552,99 @@ impl IqSwitch {
             }
         }
         #[cfg(all(feature = "check-invariants", debug_assertions))]
-        check_requests(&self.requests, &self.inputs);
+        check_requests(&self.requests, &self.inputs, &self.fabric);
 
-        // 3. Schedule the request (or weight) matrix into the reused
-        //    matching buffer (hot-path memory contract: no per-slot
-        //    allocation).
-        match &mut self.engine {
-            Engine::Boolean(scheduler) => {
-                scheduler.schedule_into(&self.requests, &mut self.last_matching);
-                // Slot-loop invariant check at the Matching seam: every
-                // matching the engine acts on must be conflict-free and
-                // grant ⊆ request.
-                #[cfg(all(feature = "check-invariants", debug_assertions))]
-                if let Err(v) = lcf_core::check::ScheduleChecker::new()
-                    .check(&self.requests, &self.last_matching)
-                {
-                    // lint:allow(no-panic): invariant checker aborts on a broken scheduler
-                    panic!("slot loop: {v}");
-                }
-                #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
-                debug_assert!(self.last_matching.is_valid_for(&self.requests));
-                // Decision events enter the trace after this slot's drops.
-                if let Some(t) = tel {
-                    t.record_scheduler_events(scheduler.as_mut());
-                }
-            }
-            Engine::Weighted {
-                sched,
-                source,
-                weights,
-            } => {
-                let InputQueues::Voq(v) = &self.inputs else {
-                    unreachable!("weighted engines are built with VOQs");
-                };
-                for (i, set) in v.iter().enumerate() {
-                    for j in 0..n {
-                        let w = match source {
-                            WeightSource::QueueLength => set.len_for(j) as u64,
-                            // Age >= 1 so a same-slot arrival still requests.
-                            WeightSource::HolAge => {
-                                set.head_for(j).map_or(0, |p| slot - p.generated_at + 1)
-                            }
+        // 3-4. The fabric stage: schedule, then move packets to the links.
+        let delivered = match &mut self.fabric {
+            Fabric::Direct => {
+                let m = &mut self.last_matching;
+                match &mut self.engine {
+                    Engine::Boolean(scheduler) => {
+                        schedule_pass(scheduler.as_mut(), &self.requests, m, tel);
+                    }
+                    Engine::Weighted {
+                        sched,
+                        source,
+                        weights,
+                    } => {
+                        let InputQueues::Voq(v) = &self.inputs else {
+                            unreachable!("weighted engines are built with VOQs");
                         };
-                        weights.set(i, j, w);
+                        for (i, set) in v.iter().enumerate() {
+                            for j in 0..n {
+                                let w = match source {
+                                    WeightSource::QueueLength => set.len_for(j) as u64,
+                                    // Age >= 1 so a same-slot arrival still requests.
+                                    WeightSource::HolAge => {
+                                        set.head_for(j).map_or(0, |p| slot - p.generated_at + 1)
+                                    }
+                                };
+                                weights.set(i, j, w);
+                            }
+                        }
+                        sched.schedule_weighted_into(weights, m);
+                        // Weighted twin of the seam's check: conflict-free,
+                        // grant ⊆ positive-weight request, maximal.
+                        // Allocation-free, so it can run per slot.
+                        #[cfg(all(feature = "check-invariants", debug_assertions))]
+                        if let Err(v) = lcf_core::check::check_weighted_matching(weights, m) {
+                            // lint:allow(no-panic): invariant checker aborts on a broken scheduler
+                            panic!("slot loop (weighted): {v}");
+                        }
+                        #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
+                        debug_assert!(m.is_conflict_free());
                     }
                 }
-                sched.schedule_weighted_into(weights, &mut self.last_matching);
-                // Weighted twin of the boolean invariant check above:
-                // conflict-free, grant ⊆ positive-weight request, maximal.
-                // Allocation-free, so it can run per slot.
-                #[cfg(all(feature = "check-invariants", debug_assertions))]
-                if let Err(v) =
-                    lcf_core::check::check_weighted_matching(weights, &self.last_matching)
-                {
-                    // lint:allow(no-panic): invariant checker aborts on a broken scheduler
-                    panic!("slot loop (weighted): {v}");
-                }
-                #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
-                debug_assert!(self.last_matching.is_conflict_free());
-            }
-        }
-        // 4. Transfer. A request vanishes when its VOQ empties; in FIFO
-        //    mode the request moves when the head's destination changes.
-        let matching = &self.last_matching;
-        let inputs = &mut self.inputs;
-        let requests = &mut self.requests;
-        for (i, j) in matching.pairs() {
-            let p = match inputs {
-                InputQueues::Voq(v) => {
-                    let p = v[i].pop_for(j);
-                    if !v[i].has_packet_for(j) {
-                        requests.set(i, j, false);
-                    }
-                    p
-                }
-                InputQueues::Fifo(f) => {
-                    let p = f[i].pop();
-                    let next = f[i].head().map(Packet::dst_idx);
-                    if next != Some(j) {
-                        requests.set(i, j, false);
-                        if let Some(dst) = next {
-                            requests.set(i, dst, true);
+                // Transfer: every matched head packet leaves on its output
+                // link. A request vanishes when its VOQ empties; in FIFO
+                // mode the request moves when the head's destination
+                // changes.
+                for (i, j) in m.pairs() {
+                    let p = match &mut self.inputs {
+                        InputQueues::Voq(v) => {
+                            let p = v[i].pop_for(j);
+                            if !v[i].has_packet_for(j) {
+                                self.requests.set(i, j, false);
+                            }
+                            p
+                        }
+                        InputQueues::Fifo(f) => {
+                            let p = f[i].pop();
+                            let next = f[i].head().map(Packet::dst_idx);
+                            if next != Some(j) {
+                                self.requests.set(i, j, false);
+                                if let Some(dst) = next {
+                                    self.requests.set(i, dst, true);
+                                }
+                            }
+                            p
                         }
                     }
-                    p
+                    // lint:allow(no-panic): grant ⊆ request is checked at the scheduling seam, so the granted queue is non-empty
+                    .expect("scheduler granted an empty queue");
+                    debug_assert_eq!(p.dst_idx(), j, "head packet routed to wrong output");
+                    stats.on_delivered(&p, slot);
                 }
+                m.size()
             }
-            // lint:allow(no-panic): grant ⊆ request is checked above, so the granted queue is non-empty
-            .expect("scheduler granted an empty queue");
-            debug_assert_eq!(p.dst_idx(), j, "head packet routed to wrong output");
-            stats.on_delivered(&p, slot);
-            self.backlog -= 1;
-        }
+            Fabric::Buffered(fabric) => {
+                let (Engine::Boolean(scheduler), InputQueues::Voq(voqs)) =
+                    (&mut self.engine, &mut self.inputs)
+                else {
+                    unreachable!("buffered fabrics are built with a boolean scheduler and VOQs");
+                };
+                fabric.advance(
+                    scheduler.as_mut(),
+                    &mut self.requests,
+                    voqs,
+                    &mut self.last_matching,
+                    slot,
+                    stats,
+                    tel,
+                )
+            }
+        };
+        self.backlog -= delivered;
         #[cfg(all(feature = "check-invariants", debug_assertions))]
         self.check_backlog();
 
@@ -565,7 +662,7 @@ impl IqSwitch {
             };
             // lint:allow(no-panic): is_some checked just above
             let t = self.telemetry.as_deref_mut().expect("checked above");
-            t.metrics.counter_add("sim.delivered", matched as u64);
+            t.metrics.counter_add("sim.delivered", delivered as u64);
             t.metrics.counter_inc("sim.slots");
             t.metrics
                 .histogram_record("sim.matching_size", n + 1, matched as u64);
@@ -782,6 +879,7 @@ mod tests {
             },
             QueueMode::SingleFifo { cap: 8 },
             100,
+            Fabric::Direct,
         );
     }
 }

@@ -7,7 +7,6 @@
 
 use lcf_core::registry::SchedulerKind;
 use lcf_core::weighted::GreedyWeight;
-use lcf_sim::cioq::CioqSwitch;
 use lcf_sim::outbuf::ObSwitch;
 use lcf_sim::packet::Packet;
 use lcf_sim::stats::{FlowOrderChecker, SimStats};
@@ -141,7 +140,7 @@ fn bursty_traffic_conserves_in_every_model() {
     );
 
     // CIOQ with speedup and pipeline depth.
-    let mut sw = CioqSwitch::new(
+    let mut sw = IqSwitch::new_cioq(
         n,
         SchedulerKind::LcfCentralRr.build(n, 4, 5),
         2,

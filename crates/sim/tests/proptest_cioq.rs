@@ -2,8 +2,8 @@
 //! invariants must hold for arbitrary speedups, pipeline depths and loads.
 
 use lcf_core::registry::SchedulerKind;
-use lcf_sim::cioq::CioqSwitch;
 use lcf_sim::stats::SimStats;
+use lcf_sim::switch::IqSwitch;
 use lcf_sim::traffic::{Bernoulli, DestPattern};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,9 +16,9 @@ fn run(
     load: f64,
     slots: u64,
     seed: u64,
-) -> (SimStats, CioqSwitch) {
+) -> (SimStats, IqSwitch) {
     let n = 8;
-    let mut sw = CioqSwitch::new(n, kind.build(n, 4, seed), speedup, depth, 100, 32, 32);
+    let mut sw = IqSwitch::new_cioq(n, kind.build(n, 4, seed), speedup, depth, 100, 32, 32);
     let mut traffic = Bernoulli::new(n, load, DestPattern::Uniform);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = SimStats::new(n, 0, 1024);

@@ -149,11 +149,13 @@ fn tracing_does_not_change_slot_schedules() {
 /// CIOQ runs under the shared `drive()` loop: tracing must not change the
 /// run, the slot-loop metrics must cover exactly the measurement window, and
 /// every relayed scheduler event must be re-stamped into that window (the
-/// scheduler itself stamps slot 0 — it has no time base).
+/// scheduler itself stamps slot 0 — it has no time base). One-packet PQs
+/// and VOQs make the input stage drop, so the trace must carry `drop_pq`
+/// events and the arrival counters must match the statistics.
 #[test]
 fn cioq_traced_run_matches_untraced_and_stamps_slots() {
-    use lcf_sim::cioq::CioqSwitch;
     use lcf_sim::model::{drive, DriveOptions};
+    use lcf_sim::switch::IqSwitch;
     use lcf_sim::traffic::{Bernoulli, DestPattern};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -161,17 +163,17 @@ fn cioq_traced_run_matches_untraced_and_stamps_slots() {
     let n = 8;
     let (warmup, measure) = (200u64, 1_000u64);
     let mk = || {
-        CioqSwitch::new(
+        IqSwitch::new_cioq(
             n,
             SchedulerKind::LcfCentralRr.build(n, 4, 11),
             2,
             2,
-            1000,
-            256,
+            1,
+            1,
             256,
         )
     };
-    let run = |sw: &mut CioqSwitch, traced: bool| {
+    let run = |sw: &mut IqSwitch, traced: bool| {
         let mut traffic = Bernoulli::new(n, 0.8, DestPattern::Uniform);
         let mut rng = StdRng::seed_from_u64(5);
         let mut opts = DriveOptions::new(warmup, measure, 4096);
@@ -186,21 +188,30 @@ fn cioq_traced_run_matches_untraced_and_stamps_slots() {
     let a = run(&mut plain, false);
     let b = run(&mut traced_sw, true);
     assert_eq!(a.generated, b.generated, "tracing changed CIOQ arrivals");
+    assert_eq!(a.dropped_pq, b.dropped_pq, "tracing changed CIOQ drops");
     assert_eq!(a.delivered, b.delivered, "tracing changed CIOQ deliveries");
     assert_eq!(
         a.mean_latency(),
         b.mean_latency(),
         "tracing changed CIOQ latency"
     );
+    assert_eq!(a.latency_histogram(), b.latency_histogram());
+    assert_eq!(plain.buffered_packets(), traced_sw.buffered_packets());
+    assert!(b.dropped_pq > 0, "the one-packet PQs must drop");
 
     let telemetry = traced_sw.take_telemetry().expect("telemetry was enabled");
     assert_eq!(telemetry.metrics.counter("sim.slots"), measure);
     assert_eq!(telemetry.metrics.counter("sim.delivered"), b.delivered);
+    assert_eq!(telemetry.metrics.counter("sim.generated"), b.generated);
+    assert_eq!(telemetry.metrics.counter("sim.dropped_pq"), b.dropped_pq);
+    let jsonl = telemetry.trace.to_jsonl();
+    let drop_events = jsonl.lines().filter(|l| l.contains("\"drop_pq\"")).count() as u64;
+    assert_eq!(drop_events, b.dropped_pq, "one drop_pq event per PQ drop");
     assert!(
-        !telemetry.trace.is_empty(),
+        jsonl.lines().count() as u64 > drop_events,
         "CIOQ scheduler decisions must be traced"
     );
-    for line in telemetry.trace.to_jsonl().lines() {
+    for line in jsonl.lines() {
         let rest = line.strip_prefix("{\"slot\":").expect("envelope");
         let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
         let slot: u64 = digits.parse().expect("slot number");

@@ -136,7 +136,7 @@ fn cioq_speedup_two_emulates_output_queueing() {
     let n = 16;
     let slots = 30_000u64;
     let run_cioq = |speedup: usize| {
-        let mut sw = CioqSwitch::new(
+        let mut sw = IqSwitch::new_cioq(
             n,
             SchedulerKind::LcfCentralRr.build(n, 4, 9),
             speedup,
@@ -182,7 +182,7 @@ fn pipelined_scheduling_costs_exactly_its_depth() {
     let n = 8;
     let slots = 30_000u64;
     let run_depth = |depth: usize| {
-        let mut sw = CioqSwitch::new(
+        let mut sw = IqSwitch::new_cioq(
             n,
             SchedulerKind::LcfCentralRr.build(n, 4, 5),
             1,
