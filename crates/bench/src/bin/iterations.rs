@@ -1,10 +1,10 @@
 //! EXT-2 — convergence of the iterative schedulers.
 //!
-//! The paper argues (Sec. 6.2) that the distributed LCF scheduler, like
-//! PIM, converges in `O(log₂ n)` iterations. Two measurements:
+//! The paper claims `O(log² n)` expected iterations for distributed LCF
+//! (Sec. 5); EXPERIMENTS.md EXT-2 compares. Two measurements:
 //!
-//! 1. iterations until convergence of `lcf_dist` on dense random requests,
-//!    as a function of `n` (compare against `log₂ n`);
+//! 1. iterations until convergence of `lcf_dist` and `pim` on dense random
+//!    requests, as a function of `n` (beside PIM's `log₂ n + 4/3` bound);
 //! 2. matching-size ratio achieved by `lcf_dist` and `pim` under a fixed
 //!    iteration budget (why the paper picks 4 iterations).
 //!

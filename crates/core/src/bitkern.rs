@@ -22,9 +22,9 @@
 //!   over the counts' bit-planes ([`min_plane_rotating`]),
 //! * uniform random choice among candidates is a popcount plus a
 //!   k-th-set-bit select,
-//! * iSLIP and PIM share one request–grant–accept iteration
-//!   (`RequestGrantAccept`) that visits only outputs some unmatched input
-//!   may still request and only inputs that hold a grant.
+//! * iSLIP, PIM and distributed LCF share one request–grant–accept
+//!   iteration (`RequestGrantAccept`) that visits only outputs some
+//!   unmatched input may still request and only inputs that hold a grant.
 //!
 //! For `n <= 64` — every configuration the paper evaluates — a row is a
 //! single word and the kernels degenerate to the classic one-`u64` forms.
@@ -786,20 +786,26 @@ pub fn min_lane16_rotating_grant(
 
 // --- Request–grant–accept skeleton ------------------------------------------
 //
-// iSLIP and PIM share one iteration (request, grant, accept) and differ only
-// in how an output picks among its requesters and how an input picks among
-// its grants. The skeleton below runs the iteration on the kept columns and
-// touches only ports that can still match: an output is visited only while
-// some unmatched input requests it, an input only when it holds a grant. The
-// picks are a trait, monomorphized per scheduler.
+// iSLIP, PIM and distributed LCF share one iteration (request, grant,
+// accept) and differ only in how an output picks among its requesters and
+// how an input picks among its grants. The skeleton below runs the iteration
+// on the kept columns and touches only ports that can still match: an output
+// is visited only while some unmatched input requests it, an input only when
+// it holds a grant. The picks are a trait, monomorphized per scheduler.
 
 /// The per-port picks of a request–grant–accept matcher: the part iSLIP
-/// (rotating pointers) and PIM (uniform random choice) do not share.
+/// (rotating pointers), PIM (uniform random choice) and distributed LCF
+/// (least NRQ, then least NGT) do not share.
 pub(crate) trait GrantAccept {
+    /// Called at the start of every iteration. `live_out` holds only
+    /// unmatched outputs, and every one an unmatched input requests, so an
+    /// unmatched input's requests to unmatched outputs are `row & live_out`.
+    fn begin(&mut self, _unmatched_in: &[u64], _live_out: &[u64]) {}
+
     /// Output `output` grants one of the set bits of `cand` (its unmatched
-    /// requesters, never empty) and records the grant for the accept step.
-    /// Called in ascending output order within an iteration.
-    fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize>;
+    /// requesters, never empty; the pick may narrow it in place) and records
+    /// the grant for the accept step. Called in ascending output order.
+    fn grant(&mut self, output: usize, cand: &mut [u64]) -> Option<usize>;
 
     /// Input `input`, which holds at least one grant from this iteration,
     /// accepts one and forgets them all. `first` is true in iteration 0.
@@ -838,8 +844,9 @@ impl RequestGrantAccept {
     }
 
     /// Runs up to `iterations` request–grant–accept rounds on `requests`
-    /// into `out`, stopping after the first round that adds no match. Per
-    /// round:
+    /// into `out`, stopping after the first round that adds no match. `out`
+    /// starts empty but for `pre_grant`, if that is a request (`lcf_dist_rr`'s
+    /// round-robin position). Per round, after [`GrantAccept::begin`]:
     ///
     /// 1. **Request and grant** — each output in `live_out`, ascending,
     ///    masks its kept column by `unmatched_in`. An empty mask drops the
@@ -861,15 +868,28 @@ impl RequestGrantAccept {
         &mut self,
         picks: &mut P,
         requests: &RequestMatrix,
+        pre_grant: Option<(usize, usize)>,
         iterations: usize,
         out: &mut Matching,
         trace: &mut IterationTrace,
     ) {
         assert_eq!(requests.n(), self.n, "request_grant_accept: size mismatch");
-        // One body for every width. The literal `w = 4` (n = 193..256)
-        // lets the compiler fold the width through every mask loop: 7–13 %
-        // faster per n = 256 call. Folding `w = 1` or `2` measured no gain.
+        out.reset(self.n);
+        mask_fill(&mut self.unmatched_in, self.n);
+        mask_fill(&mut self.live_out, self.n);
+        if let Some((i, j)) = pre_grant.filter(|&(i, j)| requests.get(i, j)) {
+            out.connect(i, j);
+            clear_bit(&mut self.unmatched_in, i);
+            clear_bit(&mut self.live_out, j);
+            trace.pre_grant(i, j);
+        }
+        // One body for every width. A literal `w` folds through every mask
+        // loop, the inlined picks' included: `w = 4` (n = 193..256) made the
+        // n = 256 iSLIP call 7–13 % faster, and without `w = 1` distributed
+        // LCF's n = 32 call took 4.7 µs, not 3.5. Folding `w = 2` measured
+        // no gain for iSLIP.
         match self.cand.len() {
+            1 => self.pass(1, picks, requests, iterations, out, trace),
             4 => self.pass(4, picks, requests, iterations, out, trace),
             w => self.pass(w, picks, requests, iterations, out, trace),
         }
@@ -885,19 +905,16 @@ impl RequestGrantAccept {
         out: &mut Matching,
         trace: &mut IterationTrace,
     ) {
-        let n = self.n;
         let cols = requests.cols().all_words();
         // Local slices, so the body below reads no `self` fields.
         let unmatched_in = &mut self.unmatched_in[..w];
         let live_out = &mut self.live_out[..w];
         let granted_in = &mut self.granted_in[..w];
         let cand = &mut self.cand[..w];
-        out.reset(n);
-        mask_fill(unmatched_in, n);
-        mask_fill(live_out, n);
 
         for iter in 0..iterations {
             trace.begin_iteration(requests, out);
+            picks.begin(unmatched_in, live_out);
             // Request and grant.
             for (wi, live) in live_out.iter_mut().enumerate() {
                 let mut outs = *live;
@@ -1433,10 +1450,12 @@ mod tests {
         let _ = min_lane16_rotating_grant(u64::MAX, 64, 0, &mut keys, &[]);
     }
 
-    /// Deterministic picks that log every call: a grant takes the
-    /// `output mod count`-th candidate, an accept the largest granting
-    /// output. The grant lists live here, so the skeleton's own masks are
-    /// not what the model and the skeleton share.
+    /// Deterministic picks that log every call: a `begin` logs the
+    /// unmatched-input mask followed by the live-output mask, a grant takes
+    /// the `output mod count`-th candidate and then clears `cand` (a pick
+    /// may narrow it), an accept takes the largest granting output. The
+    /// grant lists live here, so the skeleton's own masks are not what the
+    /// model and the skeleton share.
     struct LogPicks {
         grants: Vec<Vec<usize>>,
         log: Vec<(char, usize, Vec<u64>)>,
@@ -1452,10 +1471,15 @@ mod tests {
     }
 
     impl GrantAccept for LogPicks {
-        fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize> {
+        fn begin(&mut self, unmatched_in: &[u64], live_out: &[u64]) {
+            self.log.push(('b', 0, [unmatched_in, live_out].concat()));
+        }
+
+        fn grant(&mut self, output: usize, cand: &mut [u64]) -> Option<usize> {
             self.log.push(('g', output, cand.to_vec()));
             let count = popcount(cand);
             let i = kth_set_bit(cand, output % count);
+            cand.fill(0);
             self.grants[i].push(output);
             Some(i)
         }
@@ -1468,31 +1492,48 @@ mod tests {
         }
     }
 
-    /// The reference the skeleton must equal: every unmatched port is
-    /// scanned, and a port with no candidate (output) or no grant (input)
-    /// is skipped.
+    /// The reference the skeleton must equal: the pre-grant, if it is a
+    /// request, is matched first; then every unmatched port is scanned, and
+    /// a port with no candidate (output) or no grant (input) is skipped.
+    /// `begin` sees every unmatched input and every unmatched output that
+    /// no earlier scan found without a requester.
     fn rga_model(
         picks: &mut LogPicks,
         requests: &RequestMatrix,
+        pre_grant: Option<(usize, usize)>,
         iterations: usize,
         out: &mut Matching,
         trace: &mut IterationTrace,
     ) {
         let n = requests.n();
+        let w = words_for(n);
         out.reset(n);
+        if let Some((i, j)) = pre_grant.filter(|&(i, j)| requests.get(i, j)) {
+            out.connect(i, j);
+            trace.pre_grant(i, j);
+        }
+        let mut dead = vec![false; n];
         for iter in 0..iterations {
             trace.begin_iteration(requests, out);
+            let (mut unmatched_in, mut live_out) = (vec![0u64; w], vec![0u64; w]);
+            for i in (0..n).filter(|&i| !out.input_matched(i)) {
+                set_bit(&mut unmatched_in, i);
+            }
+            for j in (0..n).filter(|&j| !out.output_matched(j) && !dead[j]) {
+                set_bit(&mut live_out, j);
+            }
+            picks.begin(&unmatched_in, &live_out);
             let mut granted = vec![false; n];
             for j in (0..n).filter(|&j| !out.output_matched(j)) {
-                let mut cand = vec![0u64; words_for(n)];
+                let mut cand = vec![0u64; w];
                 for i in (0..n).filter(|&i| !out.input_matched(i) && requests.get(i, j)) {
                     set_bit(&mut cand, i);
                 }
-                if popcount(&cand) > 0 {
-                    if let Some(i) = picks.grant(j, &cand) {
-                        granted[i] = true;
-                        trace.grant(i, j);
-                    }
+                if popcount(&cand) == 0 {
+                    dead[j] = true;
+                } else if let Some(i) = picks.grant(j, &mut cand) {
+                    granted[i] = true;
+                    trace.grant(i, j);
                 }
             }
             let mut new_matches = 0;
@@ -1517,23 +1558,44 @@ mod tests {
         RequestMatrix::random(n, density, &mut StdRng::seed_from_u64(seed))
     }
 
+    /// Each request matrix runs without a pre-grant and with one drawn
+    /// from its requests (a non-request, which must be ignored, when it has
+    /// none).
     #[test]
     fn request_grant_accept_matches_model_call_for_call() {
         for n in SIZES {
             let mut rga = RequestGrantAccept::new(n);
             for density in [0.0, 0.024, 0.3, 1.0] {
                 for seed in 0..sweep(3) {
-                    for iterations in [1, 4] {
-                        let requests = random_requests(n, density, seed);
+                    let requests = random_requests(n, density, seed);
+                    let pairs: Vec<(usize, usize)> = (0..n)
+                        .flat_map(|i| requests.row_ones(i).map(move |j| (i, j)))
+                        .collect();
+                    let drawn = match pairs.len() {
+                        0 => (seed as usize % n, (seed as usize + 1) % n),
+                        len => pairs[seed as usize * 7919 % len],
+                    };
+                    for (pre, iterations) in
+                        [(None, 1), (None, 4), (Some(drawn), 1), (Some(drawn), 4)]
+                    {
                         let (mut got, mut want) = (LogPicks::new(n), LogPicks::new(n));
                         let (mut got_m, mut want_m) = (Matching::new(n), Matching::new(n));
                         let mut got_t = IterationTrace::default();
                         let mut want_t = IterationTrace::default();
                         got_t.set_tracing(true);
                         want_t.set_tracing(true);
-                        let label = format!("n={n} density={density} seed={seed} it={iterations}");
-                        rga.run(&mut got, &requests, iterations, &mut got_m, &mut got_t);
-                        rga_model(&mut want, &requests, iterations, &mut want_m, &mut want_t);
+                        let label = format!(
+                            "n={n} density={density} seed={seed} pre={pre:?} it={iterations}"
+                        );
+                        rga.run(&mut got, &requests, pre, iterations, &mut got_m, &mut got_t);
+                        rga_model(
+                            &mut want,
+                            &requests,
+                            pre,
+                            iterations,
+                            &mut want_m,
+                            &mut want_t,
+                        );
                         assert_eq!(got.log, want.log, "{label}: pick calls differ");
                         assert_eq!(got_m, want_m, "{label}: matchings differ");
                         assert_eq!(got_t, want_t, "{label}: traces differ");
@@ -1558,12 +1620,20 @@ mod tests {
         let mut picks = LogPicks::new(4);
         let mut out = Matching::new(4);
         let mut trace = IterationTrace::default();
-        rga.run(&mut picks, &requests, 4, &mut out, &mut trace);
+        rga.run(&mut picks, &requests, None, 4, &mut out, &mut trace);
         assert_eq!(out.pairs().collect::<Vec<_>>(), vec![(1, 1), (2, 2)]);
         let outputs: Vec<(char, usize)> = picks.log.iter().map(|e| (e.0, e.1)).collect();
         assert_eq!(
             outputs,
-            vec![('g', 0), ('g', 1), ('g', 2), ('a', 1), ('a', 2)],
+            vec![
+                ('b', 0),
+                ('g', 0),
+                ('g', 1),
+                ('g', 2),
+                ('a', 1),
+                ('a', 2),
+                ('b', 0)
+            ],
             "iteration 1 visits no port"
         );
         assert_eq!(trace.new_matches, vec![2, 0]);
@@ -1579,6 +1649,7 @@ mod tests {
         rga.run(
             &mut LogPicks::new(4),
             &RequestMatrix::new(4),
+            None,
             1,
             &mut out,
             &mut trace,

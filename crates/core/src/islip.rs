@@ -207,8 +207,9 @@ impl Islip {
             accept_ptr: &mut self.accept_ptr,
             accept_dist: &mut self.accept_dist,
         };
+        let trace = &mut self.trace;
         self.rga
-            .run(&mut picks, requests, self.iterations, out, &mut self.trace);
+            .run(&mut picks, requests, None, self.iterations, out, trace);
     }
 }
 
@@ -224,7 +225,7 @@ impl GrantAccept for IslipPicks<'_> {
     /// The first candidate at or after the output's grant pointer. The
     /// grant's distance `(output - accept_ptr[i]) mod n` is folded into the
     /// input's smallest so far, which is the grant its accept would pick.
-    fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize> {
+    fn grant(&mut self, output: usize, cand: &mut [u64]) -> Option<usize> {
         let i = bitkern::rotating_first(cand, self.n, self.grant_ptr[output].pos())?;
         let start = self.accept_ptr[i].pos();
         let dist = if output >= start {

@@ -1,7 +1,7 @@
 //! The distributed LCF scheduler — the iterative algorithm of Sec. 5.
 
 use crate::arbiter::{min_rotating, DiagonalPointer};
-use crate::bitkern::{self, Backend};
+use crate::bitkern::{self, Backend, GrantAccept, RequestGrantAccept};
 use crate::matching::Matching;
 use crate::request::RequestMatrix;
 use crate::telemetry::IterationTrace;
@@ -48,17 +48,15 @@ pub struct DistributedLcf {
     nrq: Vec<usize>,
     ngt: Vec<usize>,
     grant_of_target: Vec<Option<usize>>,
-    // Word-parallel scratch (bitset backend): flat `n × words_for(n)`
-    // per-input grant masks, `planes_for(n)` bit-planes each for NRQ (over
-    // requesters) and NGT (over targets), and single masks. The row and
-    // column masks are the request matrix's own, borrowed per call.
-    grant_mask: Vec<u64>,
+    // Word-parallel scratch (bitset backend): the shared live-port masks, a
+    // flat `n × words_for(n)` grant row per input (all zero between calls:
+    // an accept clears the row it read) and `planes_for(n)` bit-planes each
+    // for NRQ (over requesters) and NGT (over targets). The row and column
+    // masks are the request matrix's own, borrowed per call.
+    rga: RequestGrantAccept,
+    grant_rows: Vec<u64>,
     nrq_planes: Vec<u64>,
     ngt_planes: Vec<u64>,
-    unmatched_in: Vec<u64>,
-    unmatched_out: Vec<u64>,
-    granted: Vec<u64>,
-    cand: Vec<u64>,
     trace: IterationTrace,
 }
 
@@ -90,13 +88,10 @@ impl DistributedLcf {
             nrq: vec![0; n],
             ngt: vec![0; n],
             grant_of_target: vec![None; n],
-            grant_mask: vec![0; n * w],
+            rga: RequestGrantAccept::new(n),
+            grant_rows: vec![0; n * w],
             nrq_planes: vec![0; planes * w],
             ngt_planes: vec![0; planes * w],
-            unmatched_in: vec![0; w],
-            unmatched_out: vec![0; w],
-            granted: vec![0; w],
-            cand: vec![0; w],
             trace: IterationTrace::default(),
         }
     }
@@ -156,21 +151,16 @@ impl Scheduler for DistributedLcf {
 
     fn schedule_into(&mut self, requests: &RequestMatrix, out: &mut Matching) {
         assert_eq!(requests.n(), self.n, "request matrix size mismatch");
-        out.reset(self.n);
         self.trace.begin_cycle();
 
         // Round-robin position: one matrix element per cycle is scheduled
-        // before regular LCF iterations take place (Sec. 5).
-        let (i_off, j_off) = (self.pointer.i, self.pointer.j);
-        if self.round_robin && requests.get(i_off, j_off) {
-            out.connect(i_off, j_off);
-            self.trace.pre_grant(i_off, j_off);
-        }
-
+        // before regular LCF iterations take place (Sec. 5); each kernel
+        // matches it if it is a request.
+        let pre_grant = self.round_robin.then_some((self.pointer.i, self.pointer.j));
         if self.backend.word_parallel() {
-            self.schedule_bitset(requests, out);
+            self.schedule_bitset(requests, pre_grant, out);
         } else {
-            self.schedule_scalar(requests, out);
+            self.schedule_scalar(requests, pre_grant, out);
         }
 
         self.pointer.advance();
@@ -195,8 +185,18 @@ impl Scheduler for DistributedLcf {
 impl DistributedLcf {
     /// The scalar reference kernel: per-bit request probes and one rotating
     /// minimum scan per port per step.
-    fn schedule_scalar(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
+    fn schedule_scalar(
+        &mut self,
+        requests: &RequestMatrix,
+        pre_grant: Option<(usize, usize)>,
+        matching: &mut Matching,
+    ) {
         let n = self.n;
+        matching.reset(n);
+        if let Some((i, j)) = pre_grant.filter(|&(i, j)| requests.get(i, j)) {
+            matching.connect(i, j);
+            self.trace.pre_grant(i, j);
+        }
         for iter in 0..self.iterations {
             // --- Request step -------------------------------------------
             // NRQ counts only requests an unmatched initiator can still act
@@ -264,142 +264,117 @@ impl DistributedLcf {
         }
     }
 
-    /// The word-parallel kernel. Each iteration:
-    ///
-    /// * **Request** — NRQ is `popcount(row & unmatched_out)`, scattered
-    ///   into bit-planes over requesters;
-    /// * **Grant** — each unmatched output's candidates are
-    ///   `col & unmatched_in` (NGT is their popcount, scattered into planes
-    ///   over targets); [`bitkern::min_plane_rotating`] narrows them to the
-    ///   lowest NRQ and picks the first at or after the tie-break start;
-    /// * **Accept** — each input holding grants narrows its grant mask over
-    ///   the NGT planes with the same primitive.
-    ///
-    /// Only the planes below the largest live count are read. Outputs and
-    /// inputs are walked in ascending order, so grants, accepts and trace
-    /// calls are identical, one for one, to
+    /// The word-parallel kernel: the shared live-port iteration
+    /// (`bitkern::RequestGrantAccept`) with least-choice picks over
+    /// bit-sliced NRQ and NGT counts ([`LcfPicks`]). The skeleton visits
+    /// the ports the scalar scan does not skip, in the same order, so
+    /// grants, accepts and trace calls are identical, one for one, to
     /// [`DistributedLcf::schedule_scalar`].
-    fn schedule_bitset(&mut self, requests: &RequestMatrix, matching: &mut Matching) {
-        // One kernel body for every width; the single-word call lets the
-        // compiler fold `w = 1` through every mask loop.
-        match bitkern::words_for(self.n) {
-            1 => self.bitset_pass(1, requests, matching),
-            w => self.bitset_pass(w, requests, matching),
+    fn schedule_bitset(
+        &mut self,
+        requests: &RequestMatrix,
+        pre_grant: Option<(usize, usize)>,
+        out: &mut Matching,
+    ) {
+        let mut picks = LcfPicks {
+            n: self.n,
+            w: bitkern::words_for(self.n),
+            rotation: self.rotation,
+            rows: requests.bits().all_words(),
+            grant_rows: &mut self.grant_rows,
+            nrq_planes: &mut self.nrq_planes,
+            ngt_planes: &mut self.ngt_planes,
+            nrq_top: 0,
+            ngt_any: 0,
+        };
+        let trace = &mut self.trace;
+        self.rga
+            .run(&mut picks, requests, pre_grant, self.iterations, out, trace);
+    }
+}
+
+/// Distributed LCF's least-choice picks: NRQ planes over requesters, NGT
+/// planes over targets, each narrowed by [`bitkern::min_plane_rotating`]
+/// (only the planes below the largest live count are read). The methods
+/// are forced inline into the skeleton and take the word count from the
+/// slices it passes, so it folds to the skeleton's literal width: left to
+/// the inliner, the n = 32 call ran ~20 % slower.
+struct LcfPicks<'a> {
+    n: usize,
+    /// Words per grant row, for the accept step, which gets no slice.
+    w: usize,
+    rotation: usize,
+    rows: &'a [u64],
+    grant_rows: &'a mut [u64],
+    nrq_planes: &'a mut [u64],
+    ngt_planes: &'a mut [u64],
+    /// Planes that hold this iteration's largest NRQ.
+    nrq_top: usize,
+    /// OR of this iteration's NGTs: the same bit length as the largest.
+    ngt_any: usize,
+}
+
+impl GrantAccept for LcfPicks<'_> {
+    /// Request step: each unmatched input's NRQ, `popcount(row & live_out)`,
+    /// goes into the NRQ planes; the NGT planes are cleared for the grants.
+    #[inline(always)]
+    fn begin(&mut self, unmatched_in: &[u64], live_out: &[u64]) {
+        let w = live_out.len();
+        self.nrq_planes.fill(0);
+        self.ngt_planes.fill(0);
+        self.ngt_any = 0;
+        let mut nrq_any = 0usize; // OR of all counts: same bit length as the max
+        for (wi, &word) in unmatched_in.iter().enumerate() {
+            let mut ins = word;
+            while ins != 0 {
+                let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
+                ins &= ins - 1;
+                let nrq: usize = self.rows[i * w..(i + 1) * w]
+                    .iter()
+                    .zip(live_out)
+                    .map(|(r, o)| (r & o).count_ones() as usize)
+                    .sum();
+                nrq_any |= nrq;
+                bitkern::plane_scatter(self.nrq_planes, w, i, nrq);
+            }
         }
+        self.nrq_top = bitkern::planes_for(nrq_any);
     }
 
+    /// The lowest-NRQ candidate, ties to the output's rotating chain; the
+    /// output's NGT (its candidate count) goes into the NGT planes.
     #[inline(always)]
-    fn bitset_pass(&mut self, w: usize, requests: &RequestMatrix, matching: &mut Matching) {
-        let n = self.n;
-        let (rotation, pre_i) = (self.rotation, self.pointer.i);
-        // Local slices, so the body below reads no `self` fields.
-        let rows = requests.bits().all_words();
-        let cols = requests.cols().all_words();
-        let grant_mask = &mut self.grant_mask[..];
-        let nrq_planes = &mut self.nrq_planes[..];
-        let ngt_planes = &mut self.ngt_planes[..];
-        let unmatched_in = &mut self.unmatched_in[..];
-        let unmatched_out = &mut self.unmatched_out[..];
-        let granted = &mut self.granted[..];
-        let cand = &mut self.cand[..];
-        let trace = &mut self.trace;
-        bitkern::mask_fill(unmatched_in, n);
-        bitkern::mask_fill(unmatched_out, n);
-        // The only match so far is the round-robin pre-grant, if one was
-        // made: it sits at input `pointer.i`.
-        if let Some(j) = matching.output_for(pre_i) {
-            bitkern::clear_bit(unmatched_in, pre_i);
-            bitkern::clear_bit(unmatched_out, j);
-        }
+    fn grant(&mut self, output: usize, cand: &mut [u64]) -> Option<usize> {
+        let w = cand.len();
+        let ngt = bitkern::popcount(cand);
+        self.ngt_any |= ngt;
+        bitkern::plane_scatter(self.ngt_planes, w, output, ngt);
+        let i = bitkern::min_plane_rotating(
+            cand,
+            self.n,
+            tie_break_start(output, self.rotation, self.n),
+            self.nrq_planes,
+            self.nrq_top,
+        )?;
+        bitkern::set_bit(&mut self.grant_rows[i * w..(i + 1) * w], output);
+        Some(i)
+    }
 
-        for iter in 0..self.iterations {
-            // --- Request step: NRQ bit-planes over unmatched inputs. -----
-            nrq_planes.fill(0);
-            let mut nrq_any = 0usize; // OR of all counts: same bit length as the max
-            for (wi, &word) in unmatched_in[..w].iter().enumerate() {
-                let mut ins = word;
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    let nrq: usize = rows[i * w..(i + 1) * w]
-                        .iter()
-                        .zip(&*unmatched_out)
-                        .map(|(r, o)| (r & o).count_ones() as usize)
-                        .sum();
-                    nrq_any |= nrq;
-                    bitkern::plane_scatter(nrq_planes, w, i, nrq);
-                }
-            }
-            let nrq_top = bitkern::planes_for(nrq_any);
-            trace.begin_iteration(requests, matching);
-
-            // --- Grant step: lowest NRQ among each output's requesters. --
-            ngt_planes.fill(0);
-            granted.fill(0);
-            let mut ngt_any = 0usize;
-            for (wi, &word) in unmatched_out[..w].iter().enumerate() {
-                let mut outs = word;
-                while outs != 0 {
-                    let j = wi * bitkern::WORD_BITS + outs.trailing_zeros() as usize;
-                    outs &= outs - 1;
-                    let col = &cols[j * w..(j + 1) * w];
-                    for ((c, &cw), &u) in cand.iter_mut().zip(col).zip(&*unmatched_in) {
-                        *c = cw & u;
-                    }
-                    let ngt = bitkern::popcount(cand);
-                    if ngt == 0 {
-                        continue;
-                    }
-                    ngt_any |= ngt;
-                    bitkern::plane_scatter(ngt_planes, w, j, ngt);
-                    if let Some(i) = bitkern::min_plane_rotating(
-                        cand,
-                        n,
-                        tie_break_start(j, rotation, n),
-                        nrq_planes,
-                        nrq_top,
-                    ) {
-                        bitkern::set_bit(&mut grant_mask[i * w..(i + 1) * w], j);
-                        bitkern::set_bit(granted, i);
-                        trace.grant(i, j);
-                    }
-                }
-            }
-
-            // --- Accept step: lowest NGT among each input's grants. ------
-            // Only inputs holding grants are walked; each accepts exactly
-            // one grant, and its grant row is cleared for the next
-            // iteration (so the grant masks are all zero between steps).
-            let ngt_top = bitkern::planes_for(ngt_any);
-            let mut new_matches = 0;
-            for (wi, &word) in granted[..w].iter().enumerate() {
-                let mut ins = word;
-                while ins != 0 {
-                    let i = wi * bitkern::WORD_BITS + ins.trailing_zeros() as usize;
-                    ins &= ins - 1;
-                    let grants = &mut grant_mask[i * w..(i + 1) * w];
-                    if let Some(j) = bitkern::min_plane_rotating(
-                        grants,
-                        n,
-                        tie_break_start(i, rotation, n),
-                        ngt_planes,
-                        ngt_top,
-                    ) {
-                        matching.connect(i, j);
-                        bitkern::clear_bit(unmatched_in, i);
-                        bitkern::clear_bit(unmatched_out, j);
-                        new_matches += 1;
-                        trace.accept(i, j);
-                    }
-                    grants.fill(0);
-                }
-            }
-
-            trace.end_iteration(iter, new_matches);
-            if new_matches == 0 {
-                break;
-            }
-        }
+    /// The lowest-NGT grant, ties to the input's rotating chain; the grant
+    /// row is cleared.
+    #[inline(always)]
+    fn accept(&mut self, input: usize, _first: bool) -> Option<usize> {
+        let w = self.w;
+        let grants = &mut self.grant_rows[input * w..(input + 1) * w];
+        let j = bitkern::min_plane_rotating(
+            grants,
+            self.n,
+            tie_break_start(input, self.rotation, self.n),
+            self.ngt_planes,
+            bitkern::planes_for(self.ngt_any),
+        );
+        grants.fill(0);
+        j
     }
 }
 

@@ -8,8 +8,8 @@
 //! * [`CentralLcf`] — the sequential algorithm of Fig. 2, `O(n)` time with
 //!   global knowledge. Intended for narrow switches.
 //! * [`DistributedLcf`] — the iterative request/grant/accept algorithm of
-//!   Sec. 5, `O(log² n)` expected iterations with per-port knowledge only.
-//!   Intended for wide switches.
+//!   Sec. 5, `O(log² n)` expected iterations (measured in EXT-2) with
+//!   per-port knowledge only. Intended for wide switches.
 //!
 //! Each comes in a *pure* flavor (maximum throughput, no starvation
 //! protection) and a *round-robin* flavor (`*_rr` in the paper's plots) that

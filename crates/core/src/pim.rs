@@ -180,8 +180,9 @@ impl Pim {
             rng: &mut self.rng,
             grant_rows: &mut self.grant_rows,
         };
+        let trace = &mut self.trace;
         self.rga
-            .run(&mut picks, requests, self.iterations, out, &mut self.trace);
+            .run(&mut picks, requests, None, self.iterations, out, trace);
     }
 }
 
@@ -196,7 +197,7 @@ impl GrantAccept for PimPicks<'_> {
     /// A uniform pick among the candidates (ascending mask order matches
     /// the scalar candidate list); the grant is recorded in the input's
     /// grant row.
-    fn grant(&mut self, output: usize, cand: &[u64]) -> Option<usize> {
+    fn grant(&mut self, output: usize, cand: &mut [u64]) -> Option<usize> {
         let count = bitkern::popcount(cand);
         if count == 0 {
             return None;

@@ -258,8 +258,8 @@ fn decide(
 /// grants by ascending output, accepts by ascending input — so a traced
 /// word-parallel run records exactly what a traced scalar run does.
 ///
-/// Used by the EXT-2 experiment (iterations needed vs `n`): the paper argues
-/// the distributed scheduler converges in `O(log² n)` iterations like PIM.
+/// Used by EXT-2 (iterations needed vs `n`), which measures the paper's
+/// `O(log² n)` expected iterations for distributed LCF (Sec. 5).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IterationTrace {
     /// Number of *new* matches made in each executed iteration.

@@ -425,6 +425,63 @@ mod tests {
         assert_eq!(bus_min(&bus), 0);
     }
 
+    /// Checks `bitkern::min_plane_rotating` — the bit-sliced pick that
+    /// distributed LCF's grant and accept steps run — against the Fig. 6
+    /// min-bus for one count vector: for every candidate mask and start,
+    /// the winner carries the count the wired-AND bus settles to, and it is
+    /// the first candidate at that count in rotating order.
+    fn assert_plane_min_is_bus_min(counts: &[usize]) {
+        use lcf_core::bitkern::{min_plane_rotating, plane_scatter, planes_for};
+        let n = counts.len();
+        let mut planes = vec![0u64; planes_for(n)];
+        for (i, &count) in counts.iter().enumerate() {
+            plane_scatter(&mut planes, 1, i, count);
+        }
+        let top = planes_for(counts.iter().fold(0, |any, &c| any | c));
+        for mask in 0u64..1 << n {
+            let members = || (0..n).filter(move |&i| mask >> i & 1 == 1);
+            for start in 0..n {
+                let mut cand = [mask];
+                let got = min_plane_rotating(&mut cand, n, start, &planes, top);
+                if mask == 0 {
+                    assert_eq!(got, None, "counts {counts:?}: empty mask");
+                    continue;
+                }
+                let min = bus_min(&wired_and_bus(n, members().map(|i| counts[i])));
+                let want = (0..n)
+                    .map(|d| (start + d) % n)
+                    .find(|&i| mask >> i & 1 == 1 && counts[i] == min);
+                assert_eq!(
+                    got, want,
+                    "counts {counts:?} mask {mask:#b} start {start}: bus min {min}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn min_plane_rotating_settles_like_the_min_bus() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Every count vector in 0..=n for n <= 4.
+        for n in 1..=4usize {
+            for code in 0..(n + 1).pow(n as u32) {
+                let counts: Vec<usize> = (0..n)
+                    .map(|i| code / (n + 1).pow(i as u32) % (n + 1))
+                    .collect();
+                assert_plane_min_is_bus_min(&counts);
+            }
+        }
+        // A seeded sample for n = 5 and 6 (all of n = 6 is 45M picks).
+        let mut rng = StdRng::seed_from_u64(0xB05);
+        for n in [5usize, 6] {
+            for _ in 0..300 {
+                let counts: Vec<usize> = (0..n).map(|_| rng.gen_range(0..=n)).collect();
+                assert_plane_min_is_bus_min(&counts);
+            }
+        }
+    }
+
     #[test]
     fn paper_figure3_on_the_rtl_model() {
         let requests = RequestMatrix::from_pairs(
