@@ -66,6 +66,7 @@ fn bench_sim_models(c: &mut Criterion) {
                         std::hint::black_box(stats.delivered)
                     });
                 }
+                ModelKind::Weighted(_) => unreachable!("the lineup above has no weighted model"),
             }
         });
     }

@@ -249,18 +249,21 @@ pub fn schedule(args: &Args) -> Result<String, String> {
 pub fn simulate(args: &Args) -> Result<String, String> {
     args.reject_unknown("simulate", &[&["scheduler"], SIM_OPTS, TELEMETRY_OPTS])?;
     let name = args.get("scheduler").unwrap_or("lcf_central_rr");
-    // The weighted schedulers live outside the Fig. 12 registry; they get
-    // a dedicated simulation loop with identical semantics. `mwm` is both
-    // a weighted kind and a boolean registry kind — `simulate` prefers the
-    // weighted (queue-length MWM) reading, which is the meaningful
-    // simulation; the unit-weight reference stays reachable via `sweep`.
-    if let Some(kind) = WeightedKind::from_name(name) {
-        return simulate_weighted(args, kind);
-    }
-    let model =
-        ModelKind::from_name(name).ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
+    // `mwm` is both a weighted kind and a boolean registry kind —
+    // `simulate` prefers the weighted (queue-length MWM) reading, which is
+    // the meaningful simulation; the unit-weight reference stays reachable
+    // via `sweep`.
+    let model = WeightedKind::from_name(name)
+        .map(ModelKind::Weighted)
+        .or_else(|| ModelKind::from_name(name))
+        .ok_or_else(|| format!("unknown scheduler/model `{name}`"))?;
     let cfg = sim_config(args, model)?;
     if wants_telemetry(args) {
+        if let ModelKind::Weighted(_) = model {
+            return Err("weighted schedulers record no decision traces; \
+                 drop --trace/--metrics"
+                .into());
+        }
         let cap = args.get_parsed("trace-cap", 0usize)?;
         let (report, telemetry) = lcf_sim::runner::run_sim_traced(&cfg, cap);
         let mut out = report_block(&report);
@@ -325,19 +328,6 @@ pub fn serve(args: &Args) -> Result<String, String> {
     )
     .unwrap();
     Ok(out)
-}
-
-fn simulate_weighted(args: &Args, kind: WeightedKind) -> Result<String, String> {
-    // Parse shared parameters via a placeholder model; the runner ignores
-    // `cfg.model` on the weighted path and takes the scheduler from `kind`.
-    let cfg = sim_config(args, ModelKind::Scheduler(SchedulerKind::LcfCentral))?;
-    if wants_telemetry(args) {
-        return Err("weighted schedulers record no decision traces; \
-             drop --trace/--metrics"
-            .into());
-    }
-    let report = lcf_sim::runner::run_sim_weighted(&cfg, kind);
-    Ok(report_block(&report))
 }
 
 /// `lcf sweep`.

@@ -28,9 +28,12 @@ pub enum SchedulerKind {
     Wavefront,
     MaxSize,
     MaxWeight,
-    /// Test-only probe that panics on every `schedule` call. Excluded from
+    /// Test-only probe that panics on the first `schedule` call with a
+    /// pending request (an empty request matrix gets an empty matching, so
+    /// a switch runs until its first arrival). Excluded from
     /// [`SchedulerKind::ALL`]; exists so fault-isolation paths (`try_sweep`
-    /// panic containment) can be exercised through the public registry.
+    /// and serve shard containment) can be exercised through the public
+    /// registry.
     FaultProbe,
 }
 
@@ -82,9 +85,13 @@ impl Scheduler for FaultProbe {
 
     fn schedule_into(
         &mut self,
-        _requests: &crate::request::RequestMatrix,
-        _out: &mut crate::matching::Matching,
+        requests: &crate::request::RequestMatrix,
+        out: &mut crate::matching::Matching,
     ) {
+        if requests.is_empty() {
+            out.reset(self.n);
+            return;
+        }
         // lint:allow(no-panic): this probe exists to panic, so fault isolation can be tested
         panic!("panic_probe: deliberate scheduler fault");
     }
@@ -480,9 +487,12 @@ mod tests {
             Some(SchedulerKind::FaultProbe)
         );
         assert_eq!(SchedulerKind::FaultProbe.name(), "panic_probe");
-        let (s, choice) = SchedulerKind::FaultProbe.build_with_backend(4, 1, 0, Backend::default());
+        let (mut s, choice) =
+            SchedulerKind::FaultProbe.build_with_backend(4, 1, 0, Backend::default());
         assert_eq!(s.num_ports(), 4);
         assert_eq!(choice, BackendChoice::NoKernel);
+        // No request, no fault: the probe runs until its first arrival.
+        assert_eq!(s.schedule(&RequestMatrix::new(4)).size(), 0);
     }
 
     #[test]

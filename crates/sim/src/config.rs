@@ -2,7 +2,7 @@
 
 use crate::traffic::DestPattern;
 use lcf_core::bitkern::Backend;
-use lcf_core::registry::SchedulerKind;
+use lcf_core::registry::{SchedulerKind, WeightedKind};
 
 /// Which switch architecture / scheduler a simulation models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -10,20 +10,28 @@ pub enum ModelKind {
     /// Input-queued switch driven by the given scheduler. `fifo` implies the
     /// single-FIFO queue mode; everything else uses VOQs.
     Scheduler(SchedulerKind),
+    /// Input-queued VOQ switch driven by a weighted scheduler: queue-length
+    /// or head-of-line-age weights per [`WeightedKind::age_weighted`]. Not a
+    /// Fig. 12 curve; the reference tier the paper's schedulers are ranked
+    /// against.
+    Weighted(WeightedKind),
     /// Output-buffered switch (`outbuf` in Fig. 12) — no scheduler at all.
     OutputBuffered,
 }
 
 impl ModelKind {
-    /// The curve label used in the paper's Fig. 12 legend.
+    /// The curve label used in the paper's Fig. 12 legend (for a weighted
+    /// model, its experiment-output name).
     pub fn name(self) -> &'static str {
         match self {
             ModelKind::Scheduler(kind) => kind.name(),
+            ModelKind::Weighted(kind) => kind.name(),
             ModelKind::OutputBuffered => "outbuf",
         }
     }
 
-    /// Parses a Fig. 12 legend name.
+    /// Parses a Fig. 12 legend name. Weighted names are not parsed here:
+    /// `mwm` is also the boolean reference matcher, which this returns.
     pub fn from_name(name: &str) -> Option<ModelKind> {
         if name == "outbuf" {
             Some(ModelKind::OutputBuffered)
@@ -251,6 +259,13 @@ mod tests {
             assert_eq!(ModelKind::from_name(model.name()), Some(model));
         }
         assert_eq!(ModelKind::from_name("nonsense"), None);
+        // A weighted model keeps its kind's name, but `mwm` parses to the
+        // boolean reference matcher.
+        assert_eq!(ModelKind::Weighted(WeightedKind::Mwm).name(), "mwm");
+        assert_eq!(
+            ModelKind::from_name("mwm"),
+            Some(ModelKind::Scheduler(SchedulerKind::MaxWeight))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::outbuf::ObSwitch;
 use crate::stats::SimStats;
 use crate::switch::{IqSwitch, QueueMode, WeightSource};
 use crate::traffic::{Bernoulli, FastBernoulli, FastBursty, OnOffBursty, Traffic};
-use lcf_core::registry::{BackendChoice, SchedulerKind, WeightedKind};
+use lcf_core::registry::{BackendChoice, SchedulerKind};
 use rand::SeedableRng;
 
 /// The simulation RNG, pinned by name: ChaCha with 8 rounds, seeded via
@@ -78,13 +78,37 @@ impl SimReport {
 /// In checked debug builds the scheduler is wrapped in a
 /// [`CheckedScheduler`](lcf_core::check::CheckedScheduler) that validates
 /// every matching in the slot loop (and shadows bitset kernels with their
-/// scalar twin); release builds run the bare scheduler.
+/// scalar twin), or a weighted one in a
+/// [`CheckedWeightedScheduler`](lcf_core::check::CheckedWeightedScheduler)
+/// (validity + weight-bound oracle per slot); release builds run the bare
+/// scheduler.
 pub(crate) fn build_model(cfg: &SimConfig) -> (Box<dyn SwitchModel>, String) {
     match cfg.model {
         ModelKind::OutputBuffered => (
             Box::new(ObSwitch::new(cfg.n, cfg.pq_cap, cfg.outbuf_cap)),
             "n/a (no scheduler)".to_string(),
         ),
+        ModelKind::Weighted(kind) => {
+            #[cfg(all(feature = "check-invariants", debug_assertions))]
+            let scheduler = kind.build_checked(cfg.n);
+            #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
+            let scheduler = kind.build(cfg.n);
+            let source = if kind.age_weighted() {
+                WeightSource::HolAge
+            } else {
+                WeightSource::QueueLength
+            };
+            (
+                Box::new(IqSwitch::new_weighted(
+                    cfg.n,
+                    scheduler,
+                    source,
+                    cfg.voq_cap,
+                    cfg.pq_cap,
+                )),
+                BackendChoice::NoKernel.to_string(),
+            )
+        }
         ModelKind::Scheduler(kind) => {
             let (scheduler, choice) = build_scheduler(cfg, kind);
             let mode = if kind == SchedulerKind::Fifo {
@@ -157,55 +181,13 @@ pub fn run_sim_with_stats(cfg: &SimConfig) -> (SimReport, SimStats) {
     let mut rng = SimRng::seed_from_u64(cfg.seed);
     let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
     let stats = drive(model.as_mut(), traffic.as_mut(), &mut rng, &opts);
-    let report = make_report(cfg.model.name(), cfg, &stats, backend);
+    let report = make_report(cfg, &stats, backend);
     (report, stats)
 }
 
-/// Builds the weighted-path switch for `kind`: queue-length or
-/// head-of-line-age weights per [`WeightedKind::age_weighted`], with the
-/// scheduler wrapped in a
-/// [`CheckedWeightedScheduler`](lcf_core::check::CheckedWeightedScheduler)
-/// in checked debug builds (validity + weight-bound oracle per slot).
-fn build_weighted_switch(cfg: &SimConfig, kind: WeightedKind) -> IqSwitch {
-    #[cfg(all(feature = "check-invariants", debug_assertions))]
-    let scheduler = kind.build_checked(cfg.n);
-    #[cfg(not(all(feature = "check-invariants", debug_assertions)))]
-    let scheduler = kind.build(cfg.n);
-    let source = if kind.age_weighted() {
-        WeightSource::HolAge
-    } else {
-        WeightSource::QueueLength
-    };
-    IqSwitch::new_weighted(cfg.n, scheduler, source, cfg.voq_cap, cfg.pq_cap)
-}
-
-/// Runs one simulation of a *weighted* scheduler. The configuration's
-/// `model` field is ignored — the scheduler comes from `kind` (the
-/// weighted schedulers live outside the Fig. 12 [`ModelKind`] lineup);
-/// every other parameter (ports, load, traffic, seeds, queue capacities)
-/// has identical semantics to [`run_sim`].
-///
-/// # Panics
-/// Panics if the configuration fails [`SimConfig::validate`].
-pub fn run_sim_weighted(cfg: &SimConfig, kind: WeightedKind) -> SimReport {
-    // lint:allow(no-panic): documented precondition (# Panics above)
-    cfg.validate().expect("invalid simulation config");
-    let mut switch = build_weighted_switch(cfg, kind);
-    let mut traffic = build_traffic(cfg);
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let opts = DriveOptions::new(cfg.warmup_slots, cfg.measure_slots, cfg.max_latency_bucket);
-    let stats = drive(&mut switch, traffic.as_mut(), &mut rng, &opts);
-    make_report(
-        kind.name(),
-        cfg,
-        &stats,
-        BackendChoice::NoKernel.to_string(),
-    )
-}
-
-fn make_report(model: &str, cfg: &SimConfig, stats: &SimStats, backend: String) -> SimReport {
+fn make_report(cfg: &SimConfig, stats: &SimStats, backend: String) -> SimReport {
     SimReport {
-        model: model.to_string(),
+        model: cfg.model.name().to_string(),
         load: cfg.load,
         n: cfg.n,
         slots: cfg.measure_slots,
@@ -250,10 +232,7 @@ pub fn run_sim_traced(
         .traced(trace_capacity);
     let stats = drive(model.as_mut(), traffic.as_mut(), &mut rng, &opts);
     let telemetry = model.take_telemetry().unwrap_or_default();
-    (
-        make_report(cfg.model.name(), cfg, &stats, backend),
-        telemetry,
-    )
+    (make_report(cfg, &stats, backend), telemetry)
 }
 
 /// A simulation in a [`try_sweep`] batch that panicked instead of producing
@@ -292,20 +271,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// remaining simulations still run to completion, and the failure comes back
 /// as `Err(SweepError)` in that slot.
 pub fn try_sweep(configs: &[SimConfig]) -> Vec<Result<SimReport, SweepError>> {
-    parallel_indexed(configs.len(), |idx| run_sim(&configs[idx]))
+    parallel_indexed(configs.len(), hardware_threads(), |idx| {
+        run_sim(&configs[idx])
+    })
 }
 
-/// Runs `f(0..count)` across a scoped thread pool, containing panics per
-/// index; results come back in index order.
-fn parallel_indexed<T, F>(count: usize, f: F) -> Vec<Result<T, SweepError>>
+/// Worker count for batch runs: one per hardware thread.
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+}
+
+/// Runs `f(0..count)` on at most `workers` scoped threads, containing
+/// panics per index; results come back in index order. The one executor of
+/// the crate: sweeps and replications pass [`hardware_threads`], serve
+/// passes its shard count so every shard runs at once.
+pub(crate) fn parallel_indexed<T, F>(
+    count: usize,
+    workers: usize,
+    f: F,
+) -> Vec<Result<T, SweepError>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(count.max(1));
+    let workers = workers.clamp(1, count.max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Vec<std::sync::Mutex<Option<Result<T, SweepError>>>> =
         (0..count).map(|_| std::sync::Mutex::new(None)).collect();
@@ -318,8 +309,9 @@ where
                     break;
                 }
                 // AssertUnwindSafe: the closure only reads shared immutable
-                // state and builds all mutable state fresh per run, so no
-                // broken invariant can leak out.
+                // state and builds all mutable state fresh per run (a serve
+                // shard also takes its own channel sender, which unwinding
+                // drops), so no broken invariant can leak out.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(idx)))
                     .map_err(|payload| SweepError {
                         index: idx,
@@ -369,7 +361,7 @@ pub fn try_sweep_traced(
     Vec<Result<(SimReport, Box<crate::switch::SwitchTelemetry>), SweepError>>,
     lcf_telemetry::MetricsRegistry,
 ) {
-    let outcomes = parallel_indexed(configs.len(), |idx| {
+    let outcomes = parallel_indexed(configs.len(), hardware_threads(), |idx| {
         run_sim_traced(&configs[idx], trace_capacity)
     });
     let mut merged = lcf_telemetry::MetricsRegistry::new();
@@ -528,50 +520,18 @@ pub fn replicate_seed(base: u64, index: usize) -> u64 {
 /// Panics if the configuration fails [`SimConfig::validate`], if
 /// `replications == 0`, or if any replicate panics.
 pub fn run_replicated(cfg: &SimConfig, replications: usize) -> ReplicatedReport {
-    run_replicated_with(cfg, replications, cfg.model.name(), &run_sim)
-}
-
-/// [`run_replicated`] for the weighted schedulers: `R` independent copies
-/// of [`run_sim_weighted`] merged into mean / 95% CI estimates, with the
-/// same per-replicate seed derivation and determinism contract. The
-/// configuration's `model` field is ignored (the scheduler comes from
-/// `kind`).
-///
-/// # Panics
-/// Panics if the configuration fails [`SimConfig::validate`], if
-/// `replications == 0`, or if any replicate panics.
-pub fn run_replicated_weighted(
-    cfg: &SimConfig,
-    kind: WeightedKind,
-    replications: usize,
-) -> ReplicatedReport {
-    run_replicated_with(cfg, replications, kind.name(), &|rep_cfg| {
-        run_sim_weighted(rep_cfg, kind)
-    })
-}
-
-/// Shared replication engine: runs `replications` copies of `cfg` through
-/// `run` (seeds from [`replicate_seed`]) on the scoped thread pool and
-/// aggregates the reports under `model`.
-fn run_replicated_with(
-    cfg: &SimConfig,
-    replications: usize,
-    model: &str,
-    run: &(dyn Fn(&SimConfig) -> SimReport + Sync),
-) -> ReplicatedReport {
-    // lint:allow(no-panic): documented preconditions (# Panics on the public wrappers)
+    // lint:allow(no-panic): documented precondition (# Panics above)
     assert!(replications > 0, "replications must be positive");
-    // lint:allow(no-panic): documented precondition (# Panics on the public wrappers)
+    // lint:allow(no-panic): documented precondition (# Panics above)
     cfg.validate().expect("invalid simulation config");
-    let reports: Vec<SimReport> = parallel_indexed(replications, |idx| {
-        let rep_cfg = SimConfig {
+    let reports: Vec<SimReport> = parallel_indexed(replications, hardware_threads(), |idx| {
+        run_sim(&SimConfig {
             seed: replicate_seed(cfg.seed, idx),
             ..cfg.clone()
-        };
-        run(&rep_cfg)
+        })
     })
     .into_iter()
-    // lint:allow(no-panic): a panicking replicate is unrecoverable (# Panics on the public wrappers)
+    // lint:allow(no-panic): a panicking replicate is unrecoverable (# Panics above)
     .map(|outcome| outcome.unwrap_or_else(|e| panic!("replication panicked: {e}")))
     .collect();
 
@@ -579,7 +539,7 @@ fn run_replicated_with(
         MeanCi::from_samples(&reports.iter().map(f).collect::<Vec<f64>>())
     };
     ReplicatedReport {
-        model: model.to_string(),
+        model: cfg.model.name().to_string(),
         load: cfg.load,
         n: cfg.n,
         replications,
@@ -598,6 +558,7 @@ fn run_replicated_with(
 mod tests {
     use super::*;
     use crate::traffic::DestPattern;
+    use lcf_core::registry::WeightedKind;
 
     fn quick_cfg(model: ModelKind, load: f64) -> SimConfig {
         SimConfig {
@@ -924,16 +885,16 @@ mod tests {
     }
 
     #[test]
-    fn run_sim_weighted_covers_every_kind() {
-        // The weighted path drives every registry kind through the full
+    fn weighted_models_cover_every_kind() {
+        // `ModelKind::Weighted` drives every registry kind through the full
         // slot loop — in debug builds this also exercises the
         // CheckedWeightedScheduler (validity + weight-bound oracle) and
         // the slot-loop weighted invariant check on every slot.
         for kind in WeightedKind::ALL {
-            let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.7);
+            let mut cfg = quick_cfg(ModelKind::Weighted(kind), 0.7);
             cfg.measure_slots = 2_000;
             cfg.warmup_slots = 500;
-            let r = run_sim_weighted(&cfg, kind);
+            let r = run_sim(&cfg);
             assert_eq!(r.model, kind.name());
             assert_eq!(r.n, 8);
             assert!(r.delivered > 0, "{kind}");
@@ -943,14 +904,14 @@ mod tests {
     }
 
     #[test]
-    fn run_sim_weighted_is_deterministic() {
-        let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.8);
+    fn weighted_model_is_deterministic() {
+        let mut cfg = quick_cfg(ModelKind::Weighted(WeightedKind::Mwm), 0.8);
         cfg.measure_slots = 2_000;
-        let a = run_sim_weighted(&cfg, WeightedKind::Mwm);
-        let b = run_sim_weighted(&cfg, WeightedKind::Mwm);
+        let a = run_sim(&cfg);
+        let b = run_sim(&cfg);
         assert_eq!(a, b, "same seed must reproduce bit-identically");
         cfg.seed += 1;
-        let c = run_sim_weighted(&cfg, WeightedKind::Mwm);
+        let c = run_sim(&cfg);
         assert_ne!(
             (a.delivered, a.mean_latency_slots),
             (c.delivered, c.mean_latency_slots)
@@ -958,22 +919,22 @@ mod tests {
     }
 
     #[test]
-    fn run_replicated_weighted_is_deterministic_and_anchored() {
-        let mut cfg = quick_cfg(ModelKind::Scheduler(SchedulerKind::LcfCentral), 0.7);
+    fn replicated_weighted_model_is_deterministic_and_anchored() {
+        let mut cfg = quick_cfg(ModelKind::Weighted(WeightedKind::NwGreedy), 0.7);
         cfg.measure_slots = 1_500;
         cfg.warmup_slots = 300;
         cfg.traffic = TrafficKind::FastBernoulli;
-        let a = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 3);
-        let b = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 3);
+        let a = run_replicated(&cfg, 3);
+        let b = run_replicated(&cfg, 3);
         assert_eq!(a, b, "same (seed, R) must reproduce bit-identically");
         assert_eq!(a.model, "nwgreedy");
         assert_eq!(
             a.reports[0],
-            run_sim_weighted(&cfg, WeightedKind::NwGreedy),
+            run_sim(&cfg),
             "replicate 0 runs the base seed"
         );
         // Growing R appends replicates without disturbing earlier ones.
-        let c = run_replicated_weighted(&cfg, WeightedKind::NwGreedy, 5);
+        let c = run_replicated(&cfg, 5);
         assert_eq!(&c.reports[..3], &a.reports[..]);
     }
 

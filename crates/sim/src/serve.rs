@@ -3,26 +3,37 @@
 //!
 //! Batch entry points ([`run_sim`](crate::runner::run_sim) and friends) run
 //! a simulation to completion and exit. `serve` instead keeps `shards`
-//! independent [`DriveSession`]s alive — one worker thread per shard, seeds
-//! decorrelated with [`replicate_seed`](crate::runner::replicate_seed) —
-//! and advances them in **lock-step measurement windows** behind a
-//! [`Barrier`]:
+//! independent [`DriveSession`]s alive — one per worker of the executor
+//! that sweeps and replications run on, seeds decorrelated with
+//! [`replicate_seed`](crate::runner::replicate_seed) — and collects their
+//! **measurement windows** over one zero-capacity channel per shard:
 //!
 //! ```text
-//!   shard 0   warmup ─ window 0 ─║─ window 1 ─║─ … ─ drain
-//!   shard 1   warmup ─ window 0 ─║─ window 1 ─║─ … ─ drain
-//!   shard 2   warmup ─ window 0 ─║─ window 1 ─║─ … ─ drain
-//!                               barrier      barrier
+//!   shard 0   warmup ─ window 0 ─┐ window 1 ─┐ … ─ drain
+//!   shard 1   warmup ─ window 0 ─┤ window 1 ─┤ … ─ drain
+//!   shard 2   warmup ─ window 0 ─┤ window 1 ─┤ … ─ drain
+//!                                ▼           ▼
+//!   coordinator            merge window 0  merge window 1 …
 //! ```
 //!
-//! After each window every shard sends its [`WindowReport`] to the
-//! coordinator, which merges them **in shard order** into one
-//! `MetricsRegistry` snapshot per window ([`merge_window_reports`]) and
-//! emits it as a JSON line. Because the merge order is fixed by shard id —
-//! never by message-arrival order — and every shard is deterministic under
-//! its derived seed, the emitted telemetry is byte-identical across runs
-//! regardless of how the OS interleaves the worker threads (pinned by
+//! A shard's hand-over of window `w` completes only when the coordinator
+//! takes it, so no shard runs more than one window ahead of the merge —
+//! backpressure, not a barrier. The coordinator reads the channels **in
+//! shard order** and merges each window into one `MetricsRegistry`
+//! snapshot ([`merge_window_reports`]), emitted as a JSON line. Every shard
+//! is deterministic under its derived seed and the read order is fixed, so
+//! the emitted telemetry is byte-identical across runs regardless of how
+//! the OS interleaves the worker threads (pinned by
 //! `tests/serve_session.rs`).
+//!
+//! **Faults.** The executor catches a shard's panic, and the shard's closed
+//! channel stops the coordinator at that window. The coordinator then
+//! closes every channel: each surviving shard's next hand-over is refused
+//! and it goes straight to its drain. [`serve_with`] emits the completed
+//! snapshots, one `{"shard_failed":{"shard":…,"window":…,"message":…}}`
+//! line per failed shard, then the survivors' drain line, and returns
+//! `Err`. Where each survivor stops follows from the read order alone, so
+//! a failed run's output is as deterministic as a clean one's.
 //!
 //! Between windows the engine applies a [`ControlScript`] — identical on
 //! every shard — for **online reconfiguration**:
@@ -41,16 +52,17 @@
 //! merged [`DrainReport`] line.
 
 use crate::config::{ModelKind, SimConfig};
-use crate::runner::{build_model, build_scheduler, build_traffic, replicate_seed, SimRng};
+use crate::runner::{
+    build_model, build_scheduler, build_traffic, parallel_indexed, replicate_seed, SimRng,
+};
 use crate::session::{DrainReport, DriveSession, WindowReport};
 use crate::traffic::Silence;
 use lcf_core::bitkern::Backend;
 use lcf_core::registry::SchedulerKind;
 use lcf_telemetry::{json::Value, MetricsRegistry};
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::Barrier;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Mutex, PoisonError};
 
 /// One reconfiguration action of a [`ControlScript`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -226,7 +238,7 @@ impl ServeConfig {
         if self.occupancy_range == 0 {
             return Err("occupancy_range must be positive".to_string());
         }
-        for (window, command) in &self.commands_with_windows() {
+        for (window, command) in self.script.commands() {
             if *window >= self.windows {
                 return Err(format!(
                     "control script schedules a command at window {window}, but only {} windows run",
@@ -262,10 +274,6 @@ impl ServeConfig {
         }
         Ok(())
     }
-
-    fn commands_with_windows(&self) -> Vec<(u64, ControlCommand)> {
-        self.script.commands().to_vec()
-    }
 }
 
 /// What a completed [`serve`] run produced.
@@ -287,18 +295,6 @@ pub struct ServeOutcome {
     pub drained: bool,
     /// The final merged drain report as a JSON line.
     pub drain_json: String,
-}
-
-enum ShardMsg {
-    Window {
-        shard: usize,
-        window: u64,
-        report: WindowReport,
-    },
-    Drain {
-        shard: usize,
-        report: DrainReport,
-    },
 }
 
 /// Merges one window's per-shard reports into a single registry snapshot.
@@ -384,7 +380,8 @@ fn drain_line(drains: &[(usize, DrainReport)]) -> String {
             ])
         })
         .collect();
-    let drained = drains.iter().all(|(_, r)| r.drained);
+    // With every shard failed, nothing drained.
+    let drained = !drains.is_empty() && drains.iter().all(|(_, r)| r.drained);
     let remaining: u64 = drains.iter().map(|(_, r)| r.remaining_packets as u64).sum();
     let delivered: u64 = drains.iter().map(|(_, r)| r.delivered).sum();
     let end_slot = drains.iter().map(|(_, r)| r.end_slot).max().unwrap_or(0);
@@ -401,12 +398,25 @@ fn drain_line(drains: &[(usize, DrainReport)]) -> String {
     .to_json()
 }
 
-/// One shard's whole life: build, warm up, measure windows under the
-/// barrier (applying script commands between windows), drain. Runs on a
-/// worker thread; every step is deterministic under the shard seed, and
-/// every fallible reconfiguration was pre-validated by
-/// [`ServeConfig::validate`].
-fn run_shard(cfg: &ServeConfig, shard: usize, barrier: &Barrier, tx: &mpsc::Sender<ShardMsg>) {
+fn failure_line(shard: usize, window: u64, message: &str) -> String {
+    Value::Obj(vec![(
+        "shard_failed".into(),
+        Value::Obj(vec![
+            ("shard".into(), Value::U64(shard as u64)),
+            ("window".into(), Value::U64(window)),
+            ("message".into(), Value::Str(message.to_string())),
+        ]),
+    )])
+    .to_json()
+}
+
+/// One shard's whole life: build, warm up, measure windows (applying
+/// script commands between windows and handing each report to the
+/// coordinator), drain. A refused hand-over means the coordinator stopped
+/// at a failed sibling, so the shard drains at once. Every step is
+/// deterministic under the shard seed, and every fallible reconfiguration
+/// was pre-validated by [`ServeConfig::validate`].
+fn run_shard(cfg: &ServeConfig, shard: usize, tx: SyncSender<WindowReport>) -> DrainReport {
     let mut live_cfg = SimConfig {
         seed: replicate_seed(cfg.base.seed, shard),
         ..cfg.base.clone()
@@ -437,7 +447,9 @@ fn run_shard(cfg: &ServeConfig, shard: usize, barrier: &Barrier, tx: &mpsc::Send
                     let kind = match live_cfg.model {
                         ModelKind::Scheduler(kind) => kind,
                         // lint:allow(no-panic): ServeConfig::validate rejects backend swaps on non-scheduler models
-                        ModelKind::OutputBuffered => unreachable!("validated backend swap"),
+                        ModelKind::Weighted(_) | ModelKind::OutputBuffered => {
+                            unreachable!("validated backend swap")
+                        }
                     };
                     let (scheduler, _) = build_scheduler(&live_cfg, kind);
                     session
@@ -452,79 +464,95 @@ fn run_shard(cfg: &ServeConfig, shard: usize, barrier: &Barrier, tx: &mpsc::Send
                 }
             }
         }
-        let report = session.step_window(cfg.window_slots);
-        let _ = tx.send(ShardMsg::Window {
-            shard,
-            window,
-            report,
-        });
-        barrier.wait();
+        if tx.send(session.step_window(cfg.window_slots)).is_err() {
+            break;
+        }
     }
 
     let quiet: Box<dyn crate::traffic::Traffic> = Box::new(Silence::new(live_cfg.n));
-    let report = session.drain(quiet, cfg.drain_deadline_slots);
-    let _ = tx.send(ShardMsg::Drain { shard, report });
+    session.drain(quiet, cfg.drain_deadline_slots)
 }
 
 /// Runs the serve engine, calling `emit` with each merged JSON line (one
 /// per window, then the final drain line) as soon as it is complete.
 ///
-/// Returns the collected [`ServeOutcome`]; `Err` only for configuration
-/// errors (a panicking shard propagates, like [`try_sweep`]'s workers
-/// would without their catch).
-///
-/// [`try_sweep`]: crate::runner::try_sweep
+/// Returns the collected [`ServeOutcome`]. `Err` for a configuration error
+/// (nothing emitted), or after a shard failed: then the completed windows'
+/// lines, one `shard_failed` line per failed shard (in shard order) and the
+/// surviving shards' drain line have been emitted, and the error names
+/// each failed shard, its window and its panic message.
 pub fn serve_with(cfg: &ServeConfig, mut emit: impl FnMut(&str)) -> Result<ServeOutcome, String> {
     cfg.validate()?;
-    let barrier = Barrier::new(cfg.shards);
-    let (tx, rx) = mpsc::channel();
+    // Zero capacity: a hand-over completes only when the coordinator takes
+    // it. Each shard takes its sender, so a shard that ends, panicking or
+    // not, closes its channel.
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..cfg.shards)
+        .map(|_| {
+            let (tx, rx) = mpsc::sync_channel::<WindowReport>(0);
+            (Mutex::new(Some(tx)), rx)
+        })
+        .unzip();
+    let mut snapshots = Vec::new();
+    let mut merged_registries = Vec::new();
+    // Shards whose window was taken before the coordinator stopped.
+    let mut handed_over = 0;
 
-    let (snapshots, merged_registries, mut drains) = std::thread::scope(|scope| {
-        for shard in 0..cfg.shards {
-            let tx = tx.clone();
-            let barrier = &barrier;
-            scope.spawn(move || run_shard(cfg, shard, barrier, &tx));
-        }
-        drop(tx);
-
-        // Coordinator: arrival order is nondeterministic, so buffer by
-        // window and flush a window only once all shards reported it —
-        // emission order and merge order are then fully deterministic.
-        let mut pending: BTreeMap<u64, Vec<(usize, WindowReport)>> = BTreeMap::new();
-        let mut next_window = 0u64;
-        let mut snapshots = Vec::new();
-        let mut merged_registries = Vec::new();
-        let mut drains: Vec<(usize, DrainReport)> = Vec::new();
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Window {
-                    shard,
-                    window,
-                    report,
-                } => {
-                    pending.entry(window).or_default().push((shard, report));
-                    while pending
-                        .get(&next_window)
-                        .is_some_and(|reports| reports.len() == cfg.shards)
-                    {
-                        if let Some(reports) = pending.remove(&next_window) {
-                            let (line, merged) = snapshot_line(next_window, &reports);
-                            emit(&line);
-                            snapshots.push(line);
-                            merged_registries.push(merged);
-                        }
-                        next_window += 1;
+    let outcomes = std::thread::scope(|scope| {
+        let pool = scope.spawn(|| {
+            parallel_indexed(cfg.shards, cfg.shards, |shard| {
+                let tx = senders[shard]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    // lint:allow(no-panic): the executor runs each shard index exactly once
+                    .expect("one sender per shard");
+                run_shard(cfg, shard, tx)
+            })
+        });
+        'windows: for window in 0..cfg.windows {
+            let mut reports = Vec::with_capacity(cfg.shards);
+            for (shard, rx) in receivers.iter().enumerate() {
+                match rx.recv() {
+                    Ok(report) => reports.push((shard, report)),
+                    // Closed: a scripted drain, or the shard failed.
+                    Err(_) => {
+                        handed_over = reports.len();
+                        break 'windows;
                     }
                 }
-                ShardMsg::Drain { shard, report } => drains.push((shard, report)),
             }
+            let (line, merged) = snapshot_line(window, &reports);
+            emit(&line);
+            snapshots.push(line);
+            merged_registries.push(merged);
         }
-        (snapshots, merged_registries, drains)
+        // Refuse every further hand-over, so the survivors drain.
+        drop(receivers);
+        pool.join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     });
 
-    drains.sort_by_key(|(shard, _)| *shard);
+    let mut drains = Vec::new();
+    let mut failures = Vec::new();
+    for (shard, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(report) => drains.push((shard, report)),
+            Err(e) => {
+                // The first window this shard did not hand over.
+                let window = snapshots.len() as u64 + u64::from(shard < handed_over);
+                emit(&failure_line(shard, window, &e.message));
+                failures.push(format!(
+                    "shard {shard} failed in window {window}: {}",
+                    e.message
+                ));
+            }
+        }
+    }
     let drain_json = drain_line(&drains);
     emit(&drain_json);
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
     let drained = drains.iter().all(|(_, r)| r.drained);
     Ok(ServeOutcome {
         windows_run: snapshots.len() as u64,
@@ -610,6 +638,8 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.script = ControlScript::parse("at 1 scheduler islip").unwrap();
         cfg.base.model = ModelKind::OutputBuffered;
+        assert!(cfg.validate().unwrap_err().contains("VOQ scheduler"));
+        cfg.base.model = ModelKind::Weighted(lcf_core::registry::WeightedKind::Lqf);
         assert!(cfg.validate().unwrap_err().contains("VOQ scheduler"));
     }
 

@@ -12,7 +12,7 @@
 //!   drive(model, traffic, rng, opts)        lcf serve shard i
 //!   ────────────────────────────────        ─────────────────────────
 //!   session.step_window(warmup)             session.step_window(W)  ┐
-//!   session.begin_measurement()             barrier / snapshot      │ × k
+//!   session.begin_measurement()             hand over to the merge  │ × k
 //!   session.step_window(measure)            reconfigure             ┘
 //!   session.into_stats()                    session.drain(quiet, D)
 //! ```

@@ -8,7 +8,7 @@ use lcf_core::registry::{SchedulerKind, WeightedKind};
 use lcf_core::traits::Scheduler as _;
 use lcf_sim::config::{ModelKind, SimConfig, TrafficKind};
 use lcf_sim::model::{drive, DriveOptions, SwitchModel};
-use lcf_sim::serve::{merge_window_reports, serve, ControlScript, ServeConfig};
+use lcf_sim::serve::{merge_window_reports, serve, serve_with, ControlScript, ServeConfig};
 use lcf_sim::session::{DriveSession, WindowReport};
 use lcf_sim::stats::{Histogram, SimStats};
 use lcf_sim::switch::{IqSwitch, QueueMode, WeightSource};
@@ -209,6 +209,102 @@ fn serve_output_is_byte_deterministic_across_runs() {
     }
     assert_eq!(first.windows_run, 4);
     assert!(first.drained, "light load drains inside the deadline");
+}
+
+/// A serve run whose shards all schedule with the registry's `panic_probe`
+/// (it panics on the first non-empty request matrix) at `load`.
+fn probe_serve_cfg(n: usize, load: f64, shards: usize, seed: u64) -> ServeConfig {
+    let base = SimConfig {
+        model: ModelKind::Scheduler(SchedulerKind::FaultProbe),
+        n,
+        load,
+        warmup_slots: 1,
+        seed,
+        ..SimConfig::paper_default()
+    };
+    ServeConfig {
+        shards,
+        window_slots: 100,
+        windows: 20,
+        ..ServeConfig::new(base)
+    }
+}
+
+/// Runs `serve_with` on a helper thread and returns every emitted line
+/// plus the result. A hang fails the test at the timeout instead of
+/// stalling the suite.
+fn serve_lines(cfg: &ServeConfig) -> (Vec<String>, Result<u64, String>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let cfg = cfg.clone();
+    std::thread::spawn(move || {
+        let mut lines = Vec::new();
+        let result = serve_with(&cfg, |line| lines.push(line.to_string()));
+        let _ = tx.send((lines, result.map(|outcome| outcome.windows_run)));
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(run) => run,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("serve_with hung"),
+        Err(e) => panic!("serve_with panicked instead of reporting: {e}"),
+    }
+}
+
+fn count_prefixed(lines: &[String], prefix: &str) -> usize {
+    lines.iter().filter(|l| l.starts_with(prefix)).count()
+}
+
+/// One shard panics (its first arrival) while its sibling runs on: the run
+/// ends with the completed windows, one `shard_failed` line, the
+/// survivor's drain line and `Err` — never a hang — and says the same
+/// thing on every run.
+#[test]
+fn a_panicking_shard_ends_the_run_with_a_report() {
+    let cfg = probe_serve_cfg(2, 0.002, 2, 2);
+    let (lines, result) = serve_lines(&cfg);
+    let err = result.expect_err("a failed shard fails the run");
+    assert!(
+        err.contains("shard 0") && err.contains("window 1") && err.contains("panic_probe"),
+        "the error names the shard, its window and the panic: {err}"
+    );
+    assert_eq!(count_prefixed(&lines, "{\"window\":"), 1, "{lines:?}");
+    assert_eq!(count_prefixed(&lines, "{\"shard_failed\":"), 1, "{lines:?}");
+    assert!(lines[1].contains("\"shard\":0") && lines[1].contains("\"window\":1"));
+    let drain = lines.last().expect("lines were emitted");
+    assert!(
+        drain.starts_with("{\"drain\":"),
+        "drain line last: {lines:?}"
+    );
+    assert!(
+        drain.contains("\"shard\":1"),
+        "the survivor drains: {drain}"
+    );
+    let (again, again_result) = serve_lines(&cfg);
+    assert_eq!(lines, again, "a failed run is byte-deterministic too");
+    assert_eq!(Err(err), again_result);
+}
+
+/// Every shard panics during warm-up: one `shard_failed` line per shard, in
+/// shard order, then an empty drain line — not a propagated panic.
+#[test]
+fn every_shard_failing_is_reported_per_shard() {
+    let cfg = probe_serve_cfg(4, 0.9, 3, 7);
+    let (lines, result) = serve_lines(&cfg);
+    assert!(result.is_err());
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for (shard, line) in lines[..3].iter().enumerate() {
+        assert!(
+            line.starts_with(&format!(
+                "{{\"shard_failed\":{{\"shard\":{shard},\"window\":0,"
+            )),
+            "{line}"
+        );
+        assert!(line.contains("deliberate scheduler fault"), "{line}");
+    }
+    assert!(
+        lines[3].starts_with("{\"drain\":{\"drained\":false,"),
+        "no survivor, nothing drained: {lines:?}"
+    );
+    let (again, _) = serve_lines(&cfg);
+    assert_eq!(lines, again);
 }
 
 /// Online reconfiguration — scheduler swap, backend swap, load change, then

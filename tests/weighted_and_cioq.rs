@@ -120,12 +120,15 @@ fn nwgreedy_tracks_the_reference_tier_closely() {
 
 #[test]
 fn weighted_runner_is_reachable_from_the_facade() {
-    let mut cfg = lcf_switch::sim::config::SimConfig::paper_default();
+    let mut cfg = SimConfig::paper_default();
     cfg.n = 8;
     cfg.warmup_slots = 200;
     cfg.measure_slots = 2_000;
     for kind in WeightedKind::ALL {
-        let report = lcf_switch::sim::runner::run_sim_weighted(&cfg, kind);
+        let report = run_sim(&SimConfig {
+            model: ModelKind::Weighted(kind),
+            ..cfg.clone()
+        });
         assert_eq!(report.model, kind.name());
         assert!(report.throughput > 0.0, "{kind}: no packets delivered");
     }
